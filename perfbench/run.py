@@ -48,16 +48,16 @@ E2E = {
     "resume_s": "s",
 }
 
-# Cells per iteration (paper_saturation: 4 variants x 8 seeds) and how
+# Cells per iteration (paper_saturation: 4 variants x 4 seeds) and how
 # many of them are checkpointed and resumed (the PCMAC ones), to count the
 # runs of an iteration that crashed.
-CELLS = {"paper_saturation": 32, "dense_static": 1, "scale_131k": 1}
-HOOKED = {"paper_saturation": 8, "dense_static": 1, "scale_131k": 1}
+CELLS = {"paper_saturation": 16, "dense_static": 1, "scale_131k": 1}
+HOOKED = {"paper_saturation": 4, "dense_static": 1, "scale_131k": 1}
 
 # Wall seconds of one untraced and one traced iteration on the host of
 # METHOD.md; they set how many iterations fit into --seconds.
 NOMINAL_S = {
-    "paper_saturation": (6.0, 14.0),
+    "paper_saturation": (7.0, 16.0),
     "dense_static": (2.7, 8.0),
     "scale_131k": (4.2, 9.0),
 }
@@ -137,10 +137,7 @@ def measure(binary, args, workload):
     """Runs every iteration of one workload; returns the result object."""
     print(f"perfbench: host_cores={os.cpu_count()} workload={workload} "
           f"seed={args.seed} scale={args.scale} trace={args.trace}", file=sys.stderr)
-    if args.expect_fingerprint is not None:
-        expected = [args.expect_fingerprint]
-    else:
-        expected = EXPECTED[args.scale][workload].get(str(args.seed), [])
+    expected = EXPECTED[args.scale][workload].get(str(args.seed), [])
     iterations = max(1, int(args.seconds // NOMINAL_S[workload][args.trace]))
     samples = []
     attempted = failed = 0
@@ -203,9 +200,6 @@ def main():
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--scale", choices=("full", "smoke"), default="full",
                    help="smoke shrinks every workload (the benchmark's own tests)")
-    p.add_argument("--expect-fingerprint", default=None,
-                   help="check the first iteration against this fingerprint "
-                        "instead of expected.json")
     args = p.parse_args()
 
     binary = build()

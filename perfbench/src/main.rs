@@ -122,7 +122,13 @@ const PAPER_LOAD_KBPS: f64 = 1000.0;
 /// (50 nodes, ten flows), so one topology's cost swings with its routes;
 /// averaging over several keeps the workload's cost steady across
 /// benchmark seeds, as the paper averages its figures over runs.
-const PAPER_SEEDS: u64 = 8;
+const PAPER_SEEDS: u64 = 4;
+
+/// Simulated seconds per `paper_saturation` cell. The flows start at
+/// 1.0–2.233 s (`pcmac::flow_start`), so two thirds of a cell run with all
+/// ten flows on. In shorter cells warm-up takes a larger share: a 3.5 s
+/// cell carries about a third fewer events per simulated second.
+const PAPER_DURATION_S: f64 = 7.0;
 
 /// `paper_saturation`: the paper's §IV scenario at saturation, one point per MAC
 /// variant, `PAPER_SEEDS` simulation seeds derived from `seed`.
@@ -130,7 +136,7 @@ fn paper_campaign(seed: u64, scale: Scale) -> CampaignSpec {
     let mut base = ScenarioSpec::paper();
     base.name = "perfbench-paper-saturation".into();
     base.traffic.offered_load_kbps = PAPER_LOAD_KBPS;
-    base.duration_s = scale.pick(3.5, 2.5);
+    base.duration_s = scale.pick(PAPER_DURATION_S, 2.5);
     CampaignSpec {
         name: "perfbench-paper-saturation".into(),
         base,

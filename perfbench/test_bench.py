@@ -5,10 +5,11 @@ Run from the root of a checkout:
 
     python3 -m unittest perfbench/test_bench.py
 
-Each test drives ``run.py`` exactly as a benchmark run does, with
-``--scale smoke`` so a pass takes seconds instead of minutes.
+Each test drives ``run.py`` as a benchmark run does, with ``--scale
+smoke`` so a pass takes seconds instead of minutes.
 """
 
+import argparse
 import json
 import math
 import pathlib
@@ -17,18 +18,22 @@ import subprocess
 import sys
 import tempfile
 import unittest
+from unittest import mock
 
 HERE = pathlib.Path(__file__).resolve().parent
 ROOT = HERE.parent
+sys.path.insert(0, str(HERE))
+import run  # noqa: E402
+
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 
 
-def bench(workload, trace, *extra, cwd=ROOT):
+def bench(workload, trace, cwd=ROOT):
     """Runs one smoke-size benchmark run; returns (exit code, stdout lines)."""
     cmd = [sys.executable, str(pathlib.Path(cwd) / "perfbench" / "run.py"),
            "--workload", workload, "--seed", "1", "--seconds", "1",
-           "--trace", str(trace), "--scale", "smoke", *extra]
+           "--trace", str(trace), "--scale", "smoke"]
     done = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True, timeout=600)
     return done.returncode, done.stdout.strip().splitlines()
 
@@ -77,9 +82,12 @@ class SmokeRuns(unittest.TestCase):
 
 class Failures(unittest.TestCase):
     def test_a_wrong_expected_fingerprint_is_a_failure(self):
-        code, lines = bench("dense_static", 0, "--expect-fingerprint", "0" * 16)
-        doc = result(lines)
-        self.assertNotEqual(code, 0)
+        binary = run.build()
+        self.assertIsNotNone(binary)
+        args = argparse.Namespace(seed=1, seconds=1, trace=0, scale="smoke")
+        wrong = {"1": ["0" * 16]}
+        with mock.patch.dict(run.EXPECTED["smoke"]["dense_static"], wrong):
+            doc = run.measure(binary, args, "dense_static")
         self.assertFalse(doc["correct"])
         self.assertGreater(doc["failed"], 0)
 
