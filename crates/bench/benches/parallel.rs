@@ -1,84 +1,55 @@
-//! The region-sharded execution engine vs the single-threaded reference.
+//! Whole-run cost of large static scenarios, N = 4000 … 131072.
 //!
-//! PR 8 added `ExecutionMode::Sharded`: the field is split into
-//! column-band regions, one per worker thread, advanced in conservative
-//! barrier-epoch windows — and the result is bit-identical to the
-//! single-threaded run (see `channel_equivalence.rs`). Shards are now
-//! *owner-only*: each worker materialises cold per-node state only for
-//! its own band (plus a reach-wide halo of hot state), so shard memory
-//! is O(N/S + halo) instead of S full replicas. This bench measures
-//! both axes: whole-scenario *events per wall-second* as the shard
-//! count grows, and *peak RSS per row* — each row re-executed in a
-//! fresh child process (`VmHWM` is a per-process high-water mark) so
-//! the sharded footprint is comparable against single mode, with a
-//! budget assertion that fails the run if a sharded row exceeds 1.3× of
-//! (single-mode RSS + a per-shard halo allowance).
+//! Each row times `Simulator::new` + `run()` of one constant-density
+//! scenario and reports *events per wall-second* plus the row's *peak
+//! RSS*, measured by re-executing the row in a fresh child process
+//! (`VmHWM` is a per-process high-water mark, so rows cannot inherit
+//! each other's footprint).
 //!
 //! Scenarios hold node density constant (one node per 250 m × 250 m, as
 //! in the channel/mobility benches) with a workload that *scales with
 //! N* — one nearest-neighbour CBR flow per 250 nodes, sources scattered
-//! across the whole field — so every region band carries traffic and the
-//! rows measure parallel scaling, not one hot shard plus idle spectators.
-//! Every row (single and sharded alike) runs with the same 10 µs delay
-//! floor, so timing differences isolate the execution strategy; the
-//! simulated event streams are bit-identical across rows by
-//! construction, which the harness asserts via the reported event count.
+//! across the whole field. Every row runs with a 10 µs propagation-delay
+//! floor.
 //!
-//! Results go to `BENCH_parallel.json` at the repository root. On a
-//! host exposing ≥ 4 cores the run **fails** unless sharded execution
-//! beats the single-threaded reference by ≥ 1.5× events/sec at
-//! N = 16000 with ≥ 4 shards (the PR 8 acceptance bar). On narrower
-//! hosts a parallel speedup is physically unattainable — S region
-//! threads time-slice one core and every barrier crossing buys a
-//! scheduler round-trip — so the bar is reported but not enforced, and
-//! the artifact records `host_cores` so readers can interpret the rows.
+//! Results go to `BENCH_parallel.json` at the repository root.
 //!
-//! The full run also guards the PR 10 checkpoint subsystem: an extra
-//! `checkpoint_overhead` row re-times the N = 64000 single-mode row
-//! with periodic snapshots every 100 ms of *simulated* time, each
-//! fully serialized through the envelope (`to_bytes`) — the cost the
-//! campaign runner pays before writing to disk. The dense interval
-//! exists to measure per-snapshot cost precisely inside a 400 ms row;
-//! the enforced bar is the cost *at a 10 s simulated checkpoint
-//! interval* (the recommended production cadence): per-snapshot wall
-//! cost divided by the wall time between 10 s-cadence snapshots must
-//! stay under 5% of events/sec.
+//! The full run also guards the checkpoint subsystem: an extra
+//! `checkpoint_overhead` row re-times the N = 64000 row with periodic
+//! snapshots every 100 ms of *simulated* time, each fully serialized
+//! through the envelope (`to_bytes`) — the cost the campaign runner
+//! pays before writing to disk. The dense interval exists to measure
+//! per-snapshot cost precisely inside a 400 ms row; the enforced bar is
+//! the cost *at a 10 s simulated checkpoint interval* (the recommended
+//! production cadence): per-snapshot wall cost divided by the wall time
+//! between 10 s-cadence snapshots must stay under 5% of events/sec.
 //!
 //! With `PCMAC_BENCH_QUICK=1` (the CI perf-smoke step) the bench runs
-//! reduced sizes, only asserts that 4-shard execution stays above 0.9×
-//! of single (again only with ≥ 4 cores), and does **not** rewrite
+//! reduced sizes, skips the checkpoint row and does **not** rewrite
 //! `BENCH_parallel.json`.
 
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
 
-use pcmac::{
-    ExecutionMode, NodeSetup, RunHooks, RunOutcome, ScenarioConfig, SimSnapshot, Simulator, Variant,
-};
+use pcmac::{NodeSetup, RunHooks, RunOutcome, ScenarioConfig, SimSnapshot, Simulator, Variant};
 use pcmac_bench::support::{
     density_per_km2, field_side, nearest_neighbour_flows, quick_mode, scatter,
 };
 use pcmac_engine::{Duration, Milliwatts};
 
-/// Node counts under comparison (full mode). The 131072 row is the
-/// scale-ceiling probe: it exists to show the owner-only memory model
-/// holding its budget past N = 100k, at a reduced duration (see
-/// [`row_duration`]).
+/// Node counts (full mode). The 131072 row is the scale-ceiling probe,
+/// at a reduced duration (see [`row_duration`]).
 const SIZES: [usize; 4] = [4000, 16000, 64000, 131_072];
 
 /// Node counts in `PCMAC_BENCH_QUICK` mode — the classic smoke sizes
 /// plus the scale-ceiling row at a further-reduced duration.
 const QUICK_SIZES: [usize; 3] = [1000, 4000, 131_072];
 
-/// Shard counts per size; `0` encodes the single-threaded reference.
-const SHARDS: [usize; 5] = [0, 1, 2, 4, 8];
-
-/// Lookahead: every propagation delay is floored at 10 µs (a 3 km
-/// speed-of-light radius — far beyond any audible link at these
-/// densities, so the floor only quantizes, never reorders, local
-/// arrivals — while staying under the 20 µs slot time, past which the
-/// MAC's two-slot timeout grace dies and traffic silently zeroes out).
-/// Applied to every row so single and sharded are comparable.
+/// Every propagation delay is floored at 10 µs (a 3 km speed-of-light
+/// radius — far beyond any audible link at these densities, so the
+/// floor only quantizes, never reorders, local arrivals — while staying
+/// under the 20 µs slot time, past which the MAC's two-slot timeout
+/// grace dies and traffic silently zeroes out).
 const DELAY_FLOOR_US: f64 = 10.0;
 
 fn sizes() -> &'static [usize] {
@@ -89,8 +60,7 @@ fn sizes() -> &'static [usize] {
     }
 }
 
-/// Cores the OS exposes to this process — the ceiling on any real
-/// parallel speedup, recorded in the artifact and gating the perf bars.
+/// Cores the OS exposes to this process, recorded in the artifact.
 fn host_cores() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -116,27 +86,18 @@ fn row_duration(n: usize) -> Duration {
     }
 }
 
-/// Per-shard halo allowance for the memory budget: the hot arrays a
-/// shard keeps for the whole population (≈ 32 bytes of mirrors and
-/// scratch per node) plus a fixed 16 MiB of per-thread slack (stacks,
-/// queue growth, allocator retention).
-fn halo_allowance_bytes(n: usize) -> u64 {
-    n as u64 * 32 + 16 * 1024 * 1024
-}
-
 /// N static nodes at constant density, one single-hop CBR flow per 250
-/// nodes spread over the whole field, under the given execution mode.
-fn scenario(n: usize, shards: usize) -> ScenarioConfig {
+/// nodes spread over the whole field.
+fn scenario(n: usize) -> ScenarioConfig {
     let side = field_side(n);
     let duration = row_duration(n);
     let mut cfg = ScenarioConfig::two_nodes(Variant::Basic, 100.0, 1000.0, 1);
-    cfg.name = format!("parallel-bench-{n}-{shards}");
+    cfg.name = format!("parallel-bench-{n}");
     cfg.field = (side, side);
     cfg.duration = duration;
     // CSThresh floor: 550 m reach — local reception, the indexed regime.
     cfg.interference_floor = Milliwatts(1.559e-8);
     cfg.delay_floor_us = Some(DELAY_FLOOR_US);
-    cfg.execution = (shards > 0).then_some(ExecutionMode::Sharded { shards });
     let pts = scatter(11, "bench.parallel.placement", n, side);
     let flows = (n / 250).max(8) as u32;
     cfg.flows = nearest_neighbour_flows(
@@ -160,19 +121,12 @@ fn bench_parallel(c: &mut Criterion) {
             4001..=16000 => 3,
             _ => 2,
         });
-        for shards in SHARDS {
-            let key = if shards == 0 {
-                "single".to_string()
-            } else {
-                format!("sharded{shards}")
-            };
-            g.bench_function(format!("{key}/{n}"), |b| {
-                b.iter(|| {
-                    let r = Simulator::new(scenario(n, shards)).run();
-                    black_box(r.events)
-                });
+        g.bench_function(format!("{n}"), |b| {
+            b.iter(|| {
+                let r = Simulator::new(scenario(n)).run();
+                black_box(r.events)
             });
-        }
+        });
     }
     g.finish();
 }
@@ -185,12 +139,10 @@ criterion_group!(
 
 /// Child-process entry for the per-row RSS probe: run one row, print
 /// the process's `VmHWM`, exit. Selected by `PCMAC_BENCH_RSS_CHILD`
-/// (`"<n>:<shards>"`, `0` = single) before any benchmarking starts.
+/// (the row's node count) before any benchmarking starts.
 fn rss_child(spec: &str) {
-    let (n, shards) = spec.split_once(':').expect("spec is <n>:<shards>");
-    let n: usize = n.parse().expect("node count");
-    let shards: usize = shards.parse().expect("shard count");
-    let r = Simulator::new(scenario(n, shards)).run();
+    let n: usize = spec.parse().expect("node count");
+    let r = Simulator::new(scenario(n)).run();
     black_box(r.events);
     match pcmac_bench::support::peak_rss_kb() {
         Some(kb) => println!("VMHWM_KB={kb}"),
@@ -201,10 +153,10 @@ fn rss_child(spec: &str) {
 /// Peak RSS (bytes) of one row, measured in a fresh child process so
 /// the high-water mark belongs to that row alone. `None` when the
 /// platform offers no `VmHWM` or the child fails.
-fn measure_peak_rss(n: usize, shards: usize) -> Option<u64> {
+fn measure_peak_rss(n: usize) -> Option<u64> {
     let exe = std::env::current_exe().ok()?;
     let out = std::process::Command::new(exe)
-        .env("PCMAC_BENCH_RSS_CHILD", format!("{n}:{shards}"))
+        .env("PCMAC_BENCH_RSS_CHILD", n.to_string())
         .output()
         .ok()?;
     if !out.status.success() {
@@ -239,133 +191,56 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut failures = Vec::new();
-    // speedups[(n, shards)] = single events/sec ÷ sharded events/sec —
-    // the event streams are bit-identical, so the events/sec ratio is
-    // the inverse wall-time ratio.
-    let mut speedups: Vec<(usize, usize, f64)> = Vec::new();
     println!(
-        "\n{:>6} {:>8} {:>13} {:>14} {:>9} {:>11}",
-        "N", "shards", "wall", "events/sec", "speedup", "peak RSS"
+        "\n{:>6} {:>13} {:>14} {:>11}",
+        "N", "wall", "events/sec", "peak RSS"
     );
+    let mut top = None;
     for &n in sizes() {
-        // One reference run per size for the events/sec numerator; every
-        // mode simulates the identical stream (asserted below).
-        let events = Simulator::new(scenario(n, 0)).run().events;
-        let single_ns = mean(&format!("parallel/single/{n}"));
-        let mut single_rss = None;
-        for shards in SHARDS {
-            let key = if shards == 0 {
-                "single".to_string()
-            } else {
-                format!("sharded{shards}")
-            };
-            let ns = mean(&format!("parallel/{key}/{n}"));
-            let eps = events as f64 / (ns / 1e9);
-            let speedup = single_ns / ns;
-            let rss = measure_peak_rss(n, shards);
-            let rss_str = rss.map_or("n/a".to_string(), |b| {
-                format!("{:.1} MiB", b as f64 / (1024.0 * 1024.0))
-            });
-            println!(
-                "{n:>6} {key:>8} {:>11.2}ms {eps:>14.0} {speedup:>8.2}x {rss_str:>11}",
-                ns / 1e6
-            );
-            if shards == 0 {
-                single_rss = rss;
-            } else {
-                speedups.push((n, shards, speedup));
-                // The owner-only memory budget: a sharded row may cost at
-                // most 1.3× of the single-mode footprint plus a per-shard
-                // halo allowance. S full replicas (the PR 8 model) blow
-                // this immediately at these sizes.
-                if let (Some(rss), Some(single)) = (rss, single_rss) {
-                    let budget =
-                        (1.3 * (single + shards as u64 * halo_allowance_bytes(n)) as f64) as u64;
-                    if rss > budget {
-                        failures.push(format!(
-                            "memory budget exceeded at N={n} shards={shards}: peak RSS                              {rss} B > budget {budget} B (single {single} B +                              {shards} x halo allowance {} B, x1.3)",
-                            halo_allowance_bytes(n)
-                        ));
-                    }
-                }
-            }
-            let mut row = vec![
-                ("n".into(), serde_json::Value::U64(n as u64)),
-                ("shards".into(), serde_json::Value::U64(shards as u64)),
-                (
-                    "field_m".into(),
-                    serde_json::Value::F64(field_side(n).round()),
-                ),
-                (
-                    "density_per_km2".into(),
-                    serde_json::Value::F64(density_per_km2(n)),
-                ),
-                ("events".into(), serde_json::Value::U64(events)),
-                ("wall_ns".into(), serde_json::Value::F64(ns)),
-                ("events_per_sec".into(), serde_json::Value::F64(eps)),
-                ("speedup_vs_single".into(), serde_json::Value::F64(speedup)),
-            ];
-            if let Some(b) = rss {
-                row.push(("peak_rss_bytes".into(), serde_json::Value::U64(b)));
-            }
-            rows.push(serde_json::Value::Map(row));
+        let report = Simulator::new(scenario(n)).run();
+        let events = report.events;
+        let ns = mean(&format!("parallel/{n}"));
+        let eps = events as f64 / (ns / 1e9);
+        let rss = measure_peak_rss(n);
+        let rss_str = rss.map_or("n/a".to_string(), |b| {
+            format!("{:.1} MiB", b as f64 / (1024.0 * 1024.0))
+        });
+        println!("{n:>6} {:>11.2}ms {eps:>14.0} {rss_str:>11}", ns / 1e6);
+        let mut row = vec![
+            ("n".into(), serde_json::Value::U64(n as u64)),
+            (
+                "field_m".into(),
+                serde_json::Value::F64(field_side(n).round()),
+            ),
+            (
+                "density_per_km2".into(),
+                serde_json::Value::F64(density_per_km2(n)),
+            ),
+            ("events".into(), serde_json::Value::U64(events)),
+            ("wall_ns".into(), serde_json::Value::F64(ns)),
+            ("events_per_sec".into(), serde_json::Value::F64(eps)),
+        ];
+        if let Some(b) = rss {
+            row.push(("peak_rss_bytes".into(), serde_json::Value::U64(b)));
         }
+        rows.push(serde_json::Value::Map(row));
+        top = Some((n, report.delivered_packets));
     }
 
-    // Bit-identity spot check: the sharded engine must report the same
-    // event count as the reference at the largest size (the full
-    // equivalence matrix lives in channel_equivalence.rs).
-    let &n_top = sizes().last().expect("sizes non-empty");
-    let single_top = Simulator::new(scenario(n_top, 0)).run();
-    let sharded_events = Simulator::new(scenario(n_top, 4)).run().events;
-    if single_top.events != sharded_events {
-        failures.push(format!(
-            "event-count parity broke at N={n_top}: single {}, \
-             4-shard {sharded_events}",
-            single_top.events
-        ));
-    }
     // Guard against measuring a degenerate workload: if the delay floor
     // (or anything else) silently killed the MAC handshake, every row
     // would still "run" while timing nothing but failed RTS retries.
-    if single_top.delivered_packets == 0 {
+    if let Some((n_top, 0)) = top {
         failures.push(format!(
             "no traffic delivered at N={n_top}: the bench would be measuring a \
              degenerate zero-delivery workload"
         ));
     }
 
-    // The perf bars only make sense where a parallel speedup is
-    // physically possible: S region threads on fewer cores time-slice,
-    // and every barrier crossing costs a scheduler round-trip instead
-    // of a few hundred nanoseconds of spinning.
-    let cores = host_cores();
-    let enforce = cores >= 4;
-    if !enforce {
-        println!(
-            "\nnote: host exposes {cores} core(s); the parallel speedup bars \
-             need >= 4, so they are reported above but not enforced here \
-             (CI's bench job enforces them on a multi-core runner)"
-        );
-    }
-
     if quick {
-        // Perf smoke: guard against the sharded machinery *costing* more
-        // than 10% at the largest reduced size with 4 shards.
-        if enforce {
-            if let Some(&(n, _, speedup)) = speedups.iter().find(|&&(n, s, _)| n == n_top && s == 4)
-            {
-                if speedup < 0.9 {
-                    failures.push(format!(
-                        "perf smoke: 4-shard execution fell below 0.9x of single at \
-                         N={n} (got {speedup:.2}x)"
-                    ));
-                }
-            }
-        }
         println!("\nquick mode: BENCH_parallel.json left untouched");
     } else {
-        // PR 10 guard: periodic in-run checkpoints must be close to
+        // Checkpoint guard: periodic in-run checkpoints must be close to
         // free at the production cadence. Snapshots are taken every
         // 100 ms of simulated time — dense enough that a 400 ms row
         // yields a stable per-snapshot cost — and each is fully
@@ -380,7 +255,7 @@ fn main() {
             let mut best = f64::INFINITY;
             let (mut snaps, mut bytes) = (0u64, 0u64);
             for _ in 0..3 {
-                let sim = Simulator::new(scenario(ck_n, 0));
+                let sim = Simulator::new(scenario(ck_n));
                 let start = std::time::Instant::now();
                 if hooked {
                     let seen = std::sync::Mutex::new((0u64, 0u64));
@@ -470,38 +345,22 @@ fn main() {
             ),
         ]));
 
-        // The PR 8 acceptance bar: >= 1.5x events/sec at N=16000 with
-        // >= 4 shards.
-        if enforce {
-            let best = speedups
-                .iter()
-                .filter(|&&(n, s, _)| n == 16000 && s >= 4)
-                .map(|&(_, _, sp)| sp)
-                .fold(f64::NEG_INFINITY, f64::max);
-            if best < 1.5 {
-                failures.push(format!(
-                    "sharded execution must reach >= 1.5x single events/sec at \
-                     N=16000 with >= 4 shards (best {best:.2}x)"
-                ));
-            }
-        }
-
         let doc = serde_json::Value::Map(vec![
             ("bench".into(), serde_json::Value::Str("parallel".into())),
             (
                 "description".into(),
                 serde_json::Value::Str(
-                    "whole-run events per wall-second at constant density (16 nodes/km2, \
-                     floor = CSThresh, one nearest-neighbour CBR flow per 250 nodes, \
-                     10 us delay floor on every row): owner-only region-sharded execution \
-                     at 1/2/4/8 worker threads vs the single-threaded reference; \
-                     speedup = single wall / sharded wall (event streams are bit-identical; \
-                     speedups are bounded by host_cores); peak_rss_bytes = per-row child \
-                     process VmHWM (the N >= 100k rows run a reduced duration)"
+                    "whole-run (build + run) events per wall-second at constant density \
+                     (16 nodes/km2, floor = CSThresh, one nearest-neighbour CBR flow per \
+                     250 nodes, 10 us delay floor on every row); peak_rss_bytes = per-row \
+                     child process VmHWM (the N >= 100k rows run a reduced duration)"
                         .into(),
                 ),
             ),
-            ("host_cores".into(), serde_json::Value::U64(cores as u64)),
+            (
+                "host_cores".into(),
+                serde_json::Value::U64(host_cores() as u64),
+            ),
             ("results".into(), serde_json::Value::Seq(rows)),
         ]);
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_parallel.json");

@@ -11,7 +11,7 @@
 
 use std::process::ExitCode;
 
-use pcmac::{ExecutionMode, MetricsConfig, ScenarioConfig, Simulator, TraceWriter};
+use pcmac::{MetricsConfig, ScenarioConfig, Simulator, TraceWriter};
 use pcmac_campaign::{
     bisect_configs, cli, dashboard, run_campaign_with, AxesSpec, Axis, CampaignSpec,
     MetricsArtifact, RunOptions, ScenarioSpec,
@@ -22,7 +22,7 @@ usage: pcmac-campaign <command> [args]
 
 commands:
   run <campaign.json> [--threads N] [--out FILE] [--timeout SECS]
-                      [--duration SECS] [--fresh] [--metrics] [--shards N]
+                      [--duration SECS] [--fresh] [--metrics]
                       [--checkpoint-interval SECS]
         expand the campaign, run every point x seed in parallel, print the
         aggregated table and write CAMPAIGN_<name>.json (or FILE). The
@@ -35,24 +35,20 @@ commands:
         without aborting the sweep. --metrics turns on the observability
         layer for every run (behaviour-identical; see the README's
         Observability section) and additionally writes
-        METRICS_<name>.json with the per-run metrics. --shards runs every
-        scenario on the region-sharded parallel engine (bit-identical to
-        single-threaded; supplies a 10 us delay floor when the spec sets
-        none, so only specs already carrying a floor are comparable to
-        their unsharded runs). --checkpoint-interval additionally
-        checkpoints every in-progress run's simulator state that often
-        (simulated seconds) into a sidecar <out>.ckpt/ directory, so a
-        killed campaign resumes mid-run from the newest checkpoint
-        instead of recomputing the cell; timed-out runs stop cleanly at
-        a checkpoint cut. Checkpoint files are host-independent.
+        METRICS_<name>.json with the per-run metrics.
+        --checkpoint-interval additionally checkpoints every in-progress
+        run's simulator state that often (simulated seconds) into a
+        sidecar <out>.ckpt/ directory, so a killed campaign resumes
+        mid-run from the newest checkpoint instead of recomputing the
+        cell; timed-out runs stop cleanly at a checkpoint cut.
+        Checkpoint files are host-independent.
   expand <campaign.json>
         print the grid a campaign expands to, without running it
   validate <campaign.json>
         check the spec and every expanded grid cell; exit 0 when clean,
         1 with the full aggregated defect list, one problem per line
-  scenario <scenario.json> [--seed S] [--shards N]
-        materialize and run a single ScenarioSpec (default seed 1;
-        --shards as for `run`). A
+  scenario <scenario.json> [--seed S]
+        materialize and run a single ScenarioSpec (default seed 1). A
         spec with a `metrics` section reports its observability metrics;
         one with a `trace` section also writes TRACE_<name>.txt
   bisect <a.json> <b.json> [--seed S] [--interval SECS]
@@ -75,26 +71,6 @@ commands:
 
 fn read_spec(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
-}
-
-/// Parse `--shards N` (N ≥ 1) if present.
-fn shards_flag(args: &[String]) -> Result<Option<usize>, String> {
-    match cli::try_flag::<usize>(args, "--shards")? {
-        Some(0) => Err("--shards 0: need at least one region shard".into()),
-        other => Ok(other),
-    }
-}
-
-/// Switch a materialized config onto the region-sharded engine,
-/// supplying the default 10 µs delay floor when the spec set none (the
-/// floor is the engine's lookahead and is mandatory for sharded runs;
-/// it must stay below the 20 µs slot time or the MAC's two-slot
-/// timeout grace is exhausted and every handshake fails).
-fn apply_shards(cfg: &mut ScenarioConfig, shards: usize) {
-    cfg.execution = Some(ExecutionMode::Sharded { shards });
-    if cfg.delay_floor_us.is_none() {
-        cfg.delay_floor_us = Some(10.0);
-    }
 }
 
 fn load_campaign(path: &str) -> Result<CampaignSpec, String> {
@@ -121,7 +97,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         .unwrap_or_else(|| format!("CAMPAIGN_{}.json", cli::sanitize(&spec.name)));
     let fresh = args.iter().any(|a| a == "--fresh");
     let with_metrics = args.iter().any(|a| a == "--metrics");
-    let shards = shards_flag(args)?;
     let resume = !fresh && std::path::Path::new(&out).exists();
     if resume {
         eprintln!("{out} exists: resuming if it is a partial artifact (--fresh recomputes)");
@@ -153,11 +128,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         // change any campaign number.
         if with_metrics && cfg.metrics.is_none() {
             cfg.metrics = Some(MetricsConfig::default());
-        }
-        // Likewise the sharded engine is bit-identical to the
-        // single-threaded reference under the same delay floor.
-        if let Some(s) = shards {
-            apply_shards(&mut cfg, s);
         }
         // The standard resilient run: checkpoint periodically, resume
         // from this cell's newest valid checkpoint, stop cleanly at a
@@ -257,12 +227,9 @@ fn cmd_scenario(args: &[String]) -> Result<(), String> {
     let text = read_spec(path)?;
     let spec = ScenarioSpec::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
     let seed = cli::try_flag(args, "--seed")?.unwrap_or(1u64);
-    let mut cfg = spec
+    let cfg = spec
         .materialize(seed)
         .map_err(|e| format!("{path} is invalid:\n  - {}", e.problems.join("\n  - ")))?;
-    if let Some(s) = shards_flag(args)? {
-        apply_shards(&mut cfg, s);
-    }
     eprintln!(
         "running `{}` ({} nodes, {} flows)",
         cfg.name,

@@ -162,15 +162,7 @@ fn collect_bench_speedups(file: &str, v: &Value, out: &mut Vec<(String, String, 
     };
     for row in rows {
         let Some(fields) = row.as_map() else { continue };
-        let mut label = String::new();
-        for key in ["n", "mobility", "shards"] {
-            if let Some(val) = row.get(key) {
-                if !label.is_empty() {
-                    label.push(' ');
-                }
-                let _ = write!(label, "{key}={}", scalar_str(val));
-            }
-        }
+        let label = row_label(row);
         for (k, val) in fields {
             if k.starts_with("speedup") {
                 if let Some(s) = val.as_f64() {
@@ -192,17 +184,23 @@ fn collect_bench_memory(file: &str, v: &Value, out: &mut Vec<(String, String, u6
         let Some(bytes) = row.get("peak_rss_bytes").and_then(Value::as_u64) else {
             continue;
         };
-        let mut label = String::new();
-        for key in ["n", "mobility", "shards"] {
-            if let Some(val) = row.get(key) {
-                if !label.is_empty() {
-                    label.push(' ');
-                }
-                let _ = write!(label, "{key}={}", scalar_str(val));
-            }
-        }
-        out.push((file.to_string(), label, bytes));
+        out.push((file.to_string(), row_label(row), bytes));
     }
+}
+
+/// A bench row's non-timing coordinates (`n`, `mobility`), the key that
+/// pairs current and baseline rows in the gate.
+fn row_label(row: &Value) -> String {
+    let mut label = String::new();
+    for key in ["n", "mobility"] {
+        if let Some(val) = row.get(key) {
+            if !label.is_empty() {
+                label.push(' ');
+            }
+            let _ = write!(label, "{key}={}", scalar_str(val));
+        }
+    }
+    label
 }
 
 fn scalar_str(v: &Value) -> String {
@@ -363,9 +361,8 @@ fn render_generic_table(md: &mut String, rows: &[Value]) {
 
 /// Ceiling for per-row peak-RSS growth against the baseline artifact:
 /// a bench row using over 20% more memory than the committed baseline
-/// fails the gate regardless of the (speed-oriented) `band_pct` — the
-/// owner-only shard memory model is a headline claim, and a silent
-/// creep back toward full replicas would not show up in speedups.
+/// fails the gate regardless of the (speed-oriented) `band_pct` — a
+/// memory creep would not show up in speedups.
 const MEMORY_BAND_PCT: f64 = 20.0;
 
 /// Compare the perf-bearing numbers of `current` against `baseline`:
@@ -444,11 +441,7 @@ mod tests {
 
     fn snap_with_memory(bytes: u64) -> Snapshot {
         Snapshot {
-            bench_memory: vec![(
-                "BENCH_parallel.json".into(),
-                "n=64000 shards=8".into(),
-                bytes,
-            )],
+            bench_memory: vec![("BENCH_parallel.json".into(), "n=64000".into(), bytes)],
             ..Snapshot::default()
         }
     }
@@ -473,15 +466,15 @@ mod tests {
     fn bench_memory_rows_are_collected_and_labelled() {
         let v: Value = serde_json::from_str(
             r#"{"bench":"parallel","results":[
-                {"n":4000,"shards":0,"peak_rss_bytes":1048576},
-                {"n":4000,"shards":8,"peak_rss_bytes":2097152},
-                {"n":16000,"shards":4}]}"#,
+                {"n":4000,"peak_rss_bytes":1048576},
+                {"n":16000,"peak_rss_bytes":2097152},
+                {"n":64000}]}"#,
         )
         .unwrap();
         let mut out = Vec::new();
         collect_bench_memory("BENCH_parallel.json", &v, &mut out);
         assert_eq!(out.len(), 2, "rows without the field are skipped");
-        assert_eq!(out[0].1, "n=4000 shards=0");
+        assert_eq!(out[0].1, "n=4000");
         assert_eq!(out[1].2, 2_097_152);
     }
 
@@ -512,15 +505,14 @@ mod tests {
         let v: Value = serde_json::from_str(
             r#"{"bench":"mobility","results":[
                 {"n":200,"mobility":"waypoint","speedup_x":1.5},
-                {"n":400,"speedup_x":2.0},
-                {"n":16000,"shards":4,"speedup_x":3.0}]}"#,
+                {"n":400,"speedup_x":2.0}]}"#,
         )
         .unwrap();
         let mut out = Vec::new();
         collect_bench_speedups("BENCH_mobility.json", &v, &mut out);
-        assert_eq!(out.len(), 3);
+        assert_eq!(out.len(), 2);
         assert_eq!(out[0].1, "n=200 mobility=waypoint speedup_x");
+        assert_eq!(out[1].1, "n=400 speedup_x");
         assert_eq!(out[1].2, 2.0);
-        assert_eq!(out[2].1, "n=16000 shards=4 speedup_x");
     }
 }

@@ -22,8 +22,8 @@
 //! [`ScenarioSpec::apply_patch`] and its dotted [`PATCH_PATHS`].
 
 use pcmac::{
-    ChurnConfig, ExecutionMode, FaultConfig, FlowShape, FlowSpec, MetricsConfig, NodeSetup,
-    ScenarioConfig, ShadowingConfig, TraceFilter, Variant,
+    ChurnConfig, FaultConfig, FlowShape, FlowSpec, MetricsConfig, NodeSetup, ScenarioConfig,
+    ShadowingConfig, TraceFilter, Variant,
 };
 use pcmac_aodv::AodvConfig;
 use pcmac_engine::{Duration, FlowId, Milliwatts, NodeId, Point, RngStream, SimTime};
@@ -392,37 +392,22 @@ impl AodvSpec {
     }
 }
 
-/// Execution-strategy overlay: how the event loop runs, not what it
-/// simulates. `shards: None` keeps the single-threaded reference;
-/// `Some(n)` runs the region-sharded engine on `n` worker threads
-/// (bit-identical results either way). The delay floor applies in both
-/// modes — it is the sharded engine's conservative lookahead, and
-/// setting it on single-threaded runs keeps them comparable.
+/// Propagation-delay overlay. Specs written for the removed sharded
+/// engine may still carry `"shards"` here; unknown fields are ignored,
+/// so they load and run single-threaded with identical results.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct ExecutionSpec {
-    /// Region-shard (worker thread) count; `None` = single-threaded.
-    pub shards: Option<usize>,
     /// Minimum propagation delay in microseconds, applied to every
-    /// arrival. Required whenever `shards` is set.
+    /// arrival (`None` = exact speed-of-light delays).
     pub delay_floor_us: Option<f64>,
 }
 
 impl ExecutionSpec {
     fn validate(&self, problems: &mut Vec<String>) {
-        if self.shards == Some(0) {
-            problems.push("sharded execution with zero shards: nothing would run".into());
-        }
         if let Some(us) = self.delay_floor_us {
             if !us.is_finite() || us <= 0.0 {
                 problems.push(format!("delay floor {us} µs must be positive and finite"));
             }
-        }
-        if self.shards.is_some() && self.delay_floor_us.is_none() {
-            problems.push(
-                "sharded execution requires delay_floor_us: the floor is the \
-                 lookahead that makes region-parallel runs bit-identical"
-                    .into(),
-            );
         }
     }
 }
@@ -475,7 +460,6 @@ pub const PATCH_PATHS: &[&str] = &[
     "aodv.buffer_timeout_s",
     "aodv.rreq_ttl",
     "metrics.probe_interval_s",
-    "execution.shards",
     "execution.delay_floor_us",
     "trace.channel",
     "trace.ctrl",
@@ -531,9 +515,8 @@ pub struct ScenarioSpec {
     /// asks the scenario runner to attach a [`pcmac::TraceWriter`] with
     /// this filter and write the trace next to the report.
     pub trace: Option<TraceFilter>,
-    /// Execution-strategy overlay (region-sharded parallel runs and the
-    /// propagation-delay floor). `None` (or an omitted JSON field) keeps
-    /// the single-threaded reference with exact speed-of-light delays.
+    /// Propagation-delay floor overlay. `None` (or an omitted JSON field)
+    /// keeps exact speed-of-light delays.
     pub execution: Option<ExecutionSpec>,
 }
 
@@ -682,9 +665,6 @@ impl ScenarioSpec {
             "aodv.rreq_ttl" => self.aodv_mut().rreq_ttl = Some(patch_value(path, value)?),
             "metrics.probe_interval_s" => {
                 self.metrics_mut().probe_interval_s = patch_value(path, value)?;
-            }
-            "execution.shards" => {
-                self.execution_mut().shards = Some(patch_value(path, value)?);
             }
             "execution.delay_floor_us" => {
                 self.execution_mut().delay_floor_us = Some(patch_value(path, value)?);
@@ -1184,10 +1164,6 @@ impl ScenarioSpec {
             gain_cache: None,
             faults: self.faults.clone(),
             metrics: self.metrics,
-            execution: self
-                .execution
-                .and_then(|e| e.shards)
-                .map(|shards| ExecutionMode::Sharded { shards }),
             delay_floor_us: self.execution.and_then(|e| e.delay_floor_us),
         };
         cfg.validate()?;

@@ -390,7 +390,6 @@ fn every_documented_patch_path_applies() {
         ("aodv.buffer_timeout_s", Value::F64(20.0)),
         ("aodv.rreq_ttl", Value::U64(16)),
         ("metrics.probe_interval_s", Value::F64(0.5)),
-        ("execution.shards", Value::U64(4)),
         ("execution.delay_floor_us", Value::F64(10.0)),
         ("trace.channel", Value::Bool(true)),
         ("trace.ctrl", Value::Bool(false)),
@@ -412,45 +411,18 @@ fn every_documented_patch_path_applies() {
 fn execution_overlay_defects_are_rejected() {
     let mut s = valid_spec();
     s.execution = Some(ExecutionSpec {
-        shards: Some(0),
-        delay_floor_us: Some(10.0),
-    });
-    assert_problem(&s, "zero shards");
-
-    let mut s = valid_spec();
-    s.execution = Some(ExecutionSpec {
-        shards: Some(4),
-        delay_floor_us: None,
-    });
-    assert_problem(&s, "delay_floor_us");
-
-    let mut s = valid_spec();
-    s.execution = Some(ExecutionSpec {
-        shards: Some(4),
         delay_floor_us: Some(-1.0),
     });
     assert_problem(&s, "delay floor");
 }
 
 #[test]
-fn execution_overlay_materializes_into_sharded_config() {
-    use pcmac::ExecutionMode;
+fn execution_overlay_materializes_the_delay_floor() {
     let mut s = valid_spec();
     s.execution = Some(ExecutionSpec {
-        shards: Some(2),
         delay_floor_us: Some(10.0),
     });
-    let cfg = s.materialize(1).expect("sharded spec materializes");
-    assert_eq!(cfg.execution, Some(ExecutionMode::Sharded { shards: 2 }));
-    assert_eq!(cfg.delay_floor_us, Some(10.0));
-    // Floor without shards: a comparable single-threaded run.
-    let mut s = valid_spec();
-    s.execution = Some(ExecutionSpec {
-        shards: None,
-        delay_floor_us: Some(10.0),
-    });
-    let cfg = s.materialize(1).expect("floored single spec materializes");
-    assert_eq!(cfg.execution, None);
+    let cfg = s.materialize(1).expect("floored spec materializes");
     assert_eq!(cfg.delay_floor_us, Some(10.0));
 }
 

@@ -136,25 +136,6 @@ pub enum GainCacheMode {
     Off,
 }
 
-/// How the event loop executes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ExecutionMode {
-    /// One thread pops one global queue — the reference. The default.
-    #[default]
-    Single,
-    /// The field is partitioned into contiguous column ranges of the
-    /// spatial grid, one region per worker thread, each running its own
-    /// event queue. Conservative barrier-epoch synchronization with
-    /// lookahead equal to the propagation-delay floor
-    /// ([`ScenarioConfig::delay_floor_us`], which must be set) makes the
-    /// run bit-identical to [`ExecutionMode::Single`].
-    Sharded {
-        /// Number of region shards (threads). `1` is legal and runs the
-        /// sharded machinery degenerately.
-        shards: usize,
-    },
-}
-
 /// Log-normal shadowing on top of the two-ray model (robustness
 /// experiments; the paper's channel has none).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -209,20 +190,14 @@ pub struct ScenarioConfig {
     /// Observability layer (`None` = off, zero cost). Kept optional so
     /// scenario JSON predating the knob parses unchanged.
     pub metrics: Option<MetricsConfig>,
-    /// Execution strategy (`None` = the default, single-threaded). Kept
-    /// optional so scenario JSON predating the knob parses unchanged.
-    pub execution: Option<ExecutionMode>,
     /// Minimum propagation delay applied to every scheduled arrival, in
-    /// microseconds (`None` = exact speed-of-light delays only). Sharded
-    /// execution requires it: the floor is the conservative lookahead —
-    /// no transmission at `t` can influence another region before
-    /// `t + floor`, so regions may safely run `floor` ahead of each
-    /// other. Applies identically in both execution modes, keeping
-    /// Single and Sharded runs of the same scenario comparable. Must
-    /// stay below the MAC slot time (20 µs with defaults): the CTS/ACK
-    /// timeouts only budget two slots of grace for the control-frame
-    /// round trip, so a larger floor times out every handshake —
-    /// `validate()` rejects it. 10 µs is a good default.
+    /// microseconds (`None` = exact speed-of-light delays only). The
+    /// floor is part of the channel model: it quantizes short-range
+    /// propagation delays up to the floor, so only runs sharing it are
+    /// comparable. Must stay below the MAC slot time (20 µs with
+    /// defaults): the CTS/ACK timeouts only budget two slots of grace
+    /// for the control-frame round trip, so a larger floor times out
+    /// every handshake — `validate()` rejects it.
     pub delay_floor_us: Option<f64>,
 }
 
@@ -346,7 +321,6 @@ impl ScenarioConfig {
             gain_cache: None,
             faults: None,
             metrics: None,
-            execution: None,
             delay_floor_us: None,
         }
     }
@@ -385,7 +359,6 @@ impl ScenarioConfig {
             gain_cache: None,
             faults: None,
             metrics: None,
-            execution: None,
             delay_floor_us: None,
         }
     }
@@ -434,7 +407,6 @@ impl ScenarioConfig {
             gain_cache: None,
             faults: None,
             metrics: None,
-            execution: None,
             delay_floor_us: None,
         }
     }
@@ -468,19 +440,6 @@ impl ScenarioConfig {
     /// Effective gain cache selection (the default when unset).
     pub fn gain_cache_mode(&self) -> GainCacheMode {
         self.gain_cache.unwrap_or_default()
-    }
-
-    /// Effective execution strategy (the default when unset).
-    pub fn execution_mode(&self) -> ExecutionMode {
-        self.execution.unwrap_or_default()
-    }
-
-    /// Number of region shards the run will use (1 in single mode).
-    pub fn shards(&self) -> usize {
-        match self.execution_mode() {
-            ExecutionMode::Single => 1,
-            ExecutionMode::Sharded { shards } => shards.max(1),
-        }
     }
 
     /// The propagation-delay floor as a duration (zero when unset).
@@ -653,18 +612,6 @@ impl ScenarioConfig {
                 }
             }
         }
-        if let Some(ExecutionMode::Sharded { shards }) = self.execution {
-            if shards == 0 {
-                problems.push("sharded execution with zero shards: nothing would run".into());
-            }
-            if self.delay_floor().is_zero() {
-                problems.push(
-                    "sharded execution requires a positive delay_floor_us: the floor is the \
-                     conservative lookahead that lets regions run ahead of each other"
-                        .into(),
-                );
-            }
-        }
         if problems.is_empty() {
             Ok(())
         } else {
@@ -771,7 +718,6 @@ mod tests {
                             && k != "gain_cache"
                             && k != "faults"
                             && k != "metrics"
-                            && k != "execution"
                             && k != "delay_floor_us"
                     })
                     .collect(),
@@ -784,37 +730,23 @@ mod tests {
         assert_eq!(b.gain_cache, None);
         assert_eq!(b.faults, None);
         assert_eq!(b.metrics, None);
-        assert_eq!(b.execution, None);
         assert_eq!(b.delay_floor_us, None);
         assert_eq!(b.mobility_refresh_mode(), MobilityRefreshMode::Lazy);
         assert_eq!(b.gain_cache_mode(), GainCacheMode::Auto);
-        assert_eq!(b.execution_mode(), ExecutionMode::Single);
-        assert_eq!(b.shards(), 1);
         assert!(b.delay_floor().is_zero());
     }
 
     #[test]
-    fn sharded_execution_defects_are_rejected() {
+    fn delay_floor_defects_are_rejected() {
         let mut c = ScenarioConfig::paper(Variant::Pcmac, 500.0, 1);
-        c.execution = Some(ExecutionMode::Sharded { shards: 4 });
-        let err = c
-            .validate()
-            .expect_err("sharded without a delay floor must be rejected");
-        assert!(err.problems.iter().any(|p| p.contains("delay_floor_us")));
         c.delay_floor_us = Some(10.0);
         c.validate().expect("floor set: valid");
-        assert_eq!(c.shards(), 4);
         assert_eq!(c.delay_floor(), Duration::from_micros(10));
         // A floor at or past the 20 µs slot would eat the CTS/ACK
         // timeouts' two-slot round-trip grace and kill every handshake.
         c.delay_floor_us = Some(50.0);
         let err = c.validate().expect_err("slot-sized floor must be rejected");
         assert!(err.problems.iter().any(|p| p.contains("slot time")));
-        c.delay_floor_us = Some(10.0);
-        c.execution = Some(ExecutionMode::Sharded { shards: 0 });
-        let err = c.validate().expect_err("zero shards must be rejected");
-        assert!(err.problems.iter().any(|p| p.contains("zero shards")));
-        c.execution = Some(ExecutionMode::Single);
         c.delay_floor_us = Some(-1.0);
         let err = c.validate().expect_err("negative floor must be rejected");
         assert!(err.problems.iter().any(|p| p.contains("delay floor")));

@@ -117,9 +117,8 @@ pub enum SimEvent {
 }
 
 impl SimEvent {
-    /// The node an event addresses, if any. `None` for the replicated
-    /// global events (impairment edges, the metrics probe), which every
-    /// shard dispatches. Used by the dispatcher to sync the addressed
+    /// The node an event addresses, if any. `None` for the global events
+    /// (impairment edges, the metrics probe). Used by the dispatcher to sync the addressed
     /// node's struct-of-arrays mirrors after handling the event.
     pub fn node_index(&self) -> Option<usize> {
         match self {
@@ -145,14 +144,14 @@ impl SimEvent {
     ///
     /// Every schedule site passes this rank to the event queue, so ties at
     /// one instant resolve by event *content* instead of scheduling history.
-    /// That is what lets region shards — which each schedule only a subset
-    /// of the global event population — agree exactly with the
-    /// single-threaded reference on pop order: two distinct events due at
-    /// the same instant compare identically no matter which queue holds
-    /// them. Events that share a full `(at, rank)` key always address the
-    /// same node (the discriminator separates everything else a node can
-    /// have in flight at one instant), so they live on one shard and the
-    /// insertion sequence finishes the job there.
+    /// Same-instant order is therefore a property of the events
+    /// themselves: a restored run, whose queue is rebuilt from a snapshot,
+    /// pops ties exactly as the uninterrupted run did, and the divergence
+    /// bisector can name an event by its `(time, rank)`. Events
+    /// that share a full `(at, rank)` key always address the same node
+    /// (the discriminator separates everything else a node can have in
+    /// flight at one instant), and the insertion sequence finishes the job
+    /// there.
     ///
     /// `End` classes sort before `Start` classes: an arrival that ends the
     /// instant another begins must release the radio first, matching the

@@ -55,7 +55,6 @@ pub mod event;
 pub mod fault;
 pub mod metrics;
 pub mod node;
-pub mod parallel;
 pub mod report;
 pub mod runner;
 pub mod sim;
@@ -64,9 +63,8 @@ pub(crate) mod soa;
 pub mod trace;
 
 pub use config::{
-    flow_start, random_flow_pairs, ChannelIndexMode, ExecutionMode, FlowShape, FlowSpec,
-    GainCacheMode, InvalidScenario, MobilityRefreshMode, NodeSetup, ScenarioConfig,
-    ShadowingConfig,
+    flow_start, random_flow_pairs, ChannelIndexMode, FlowShape, FlowSpec, GainCacheMode,
+    InvalidScenario, MobilityRefreshMode, NodeSetup, ScenarioConfig, ShadowingConfig,
 };
 pub use event::SimEvent;
 pub use fault::{ChurnConfig, CrashWindow, FaultConfig, ImpairmentBurst};

@@ -26,7 +26,6 @@
 //! at the end of the run), so the [`DropTaxonomy`] counts always sum to
 //! `sent`.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
@@ -279,10 +278,8 @@ enum Fate {
     InFlight,
     /// Reached its destination sink.
     Delivered,
-    /// Dropped; the first recorded reason wins. The global `(time,
-    /// rank)` of the dropping event is kept so region shards — each of
-    /// which observes only the drops its own nodes perform — can agree
-    /// with the single-threaded run on *which* drop came first.
+    /// Dropped; the first recorded reason wins. The `(time, rank)` of
+    /// the dropping event is kept with it (and travels in checkpoints).
     Dropped {
         /// The first recorded reason.
         reason: Drop,
@@ -483,7 +480,7 @@ pub(crate) struct MetricsState {
     /// metrics-off run exactly.
     pub(crate) probes_scheduled: u64,
     /// Raw integer probe samples; the derived fractions are computed at
-    /// [`MetricsState::finish`], so per-shard samples sum exactly.
+    /// [`MetricsState::finish`].
     samples: Vec<RawSample>,
     sent: u64,
     delivered_cum: u64,
@@ -538,41 +535,26 @@ impl MetricsState {
 
     /// The packet reached its destination sink. Delivery is sticky: it
     /// overrides a previously recorded drop (a salvaged copy made it).
-    /// An unseen id is legal on a region shard (the source lives in
-    /// another region, so emission was registered there) and records the
-    /// delivery directly; callers filter routing control packets out.
+    /// Callers filter routing control packets out; every other packet
+    /// was registered by [`MetricsState::note_sent`] when emitted.
     pub(crate) fn note_delivered(&mut self, id: PacketId) {
-        match self.fates.entry(id.0) {
-            Entry::Occupied(mut o) => {
-                if *o.get() == Fate::Delivered {
-                    self.duplicate_deliveries += 1;
-                } else {
-                    o.insert(Fate::Delivered);
-                    self.delivered_cum += 1;
-                }
-            }
-            Entry::Vacant(v) => {
-                v.insert(Fate::Delivered);
-                self.delivered_cum += 1;
-            }
+        let Some(fate) = self.fates.get_mut(&id.0) else {
+            return;
+        };
+        if *fate == Fate::Delivered {
+            self.duplicate_deliveries += 1;
+        } else {
+            *fate = Fate::Delivered;
+            self.delivered_cum += 1;
         }
     }
 
     /// The packet hit a terminal drop at the event keyed `(t, rank)`.
     /// Only the first reason sticks, and a delivered packet is never
-    /// reclassified. As with deliveries, an unseen id on a region shard
-    /// records the drop directly; [`MetricsState::merge`] keeps the
-    /// globally-first drop when several shards dropped copies.
+    /// reclassified.
     pub(crate) fn note_dropped(&mut self, id: PacketId, reason: Drop, t: SimTime, rank: u128) {
-        match self.fates.entry(id.0) {
-            Entry::Occupied(mut o) => {
-                if *o.get() == Fate::InFlight {
-                    o.insert(Fate::Dropped { reason, t, rank });
-                }
-            }
-            Entry::Vacant(v) => {
-                v.insert(Fate::Dropped { reason, t, rank });
-            }
+        if let Some(fate @ Fate::InFlight) = self.fates.get_mut(&id.0) {
+            *fate = Fate::Dropped { reason, t, rank };
         }
     }
 
@@ -611,9 +593,7 @@ impl MetricsState {
     }
 
     /// Capture everything the constructor cannot rebuild from the
-    /// scenario config into a portable checkpoint image. For sharded
-    /// runs the caller merges the per-shard states first, so the image
-    /// is the same single-equivalent view either way.
+    /// scenario config into a portable checkpoint image.
     pub(crate) fn capture(&self) -> MetricsSnap {
         MetricsSnap {
             probes_scheduled: self.probes_scheduled,
@@ -631,20 +611,8 @@ impl MetricsState {
         }
     }
 
-    /// Overlay a checkpoint image on a freshly-built state. Exactly one
-    /// execution lane restores as `primary` (the single-threaded run, or
-    /// region shard 0) and receives the cumulative counters and samples;
-    /// the other shards keep zeros so the final [`MetricsState::merge`]
-    /// sums back to the uninterrupted totals. Per-packet fates and the
-    /// rx-overlap flags replicate everywhere: fate resolution is
-    /// idempotent under merge, and each shard needs the full map to
-    /// classify post-restore duplicate deliveries the same way an
-    /// uninterrupted run would.
-    pub(crate) fn restore_from(
-        &mut self,
-        snap: &MetricsSnap,
-        primary: bool,
-    ) -> Result<(), &'static str> {
+    /// Overlay a checkpoint image on a freshly-built state.
+    pub(crate) fn restore_from(&mut self, snap: &MetricsSnap) -> Result<(), &'static str> {
         if snap.rx_overlap.len() != self.rx_overlap.len() {
             return Err("metrics node count");
         }
@@ -654,120 +622,16 @@ impl MetricsState {
         self.probes_scheduled = snap.probes_scheduled;
         self.fates = snap.fates.clone();
         self.rx_overlap = snap.rx_overlap.clone();
-        if primary {
-            self.samples = snap.samples.clone();
-            self.sent = snap.sent;
-            self.delivered_cum = snap.delivered_cum;
-            self.duplicate_deliveries = snap.duplicate_deliveries;
-            self.phy = snap.phy;
-            self.data_tx_by_level = snap.data_tx_by_level.clone();
-            self.data_tx_unclassified = snap.data_tx_unclassified;
-            self.ctrl_tx = snap.ctrl_tx;
-            self.hot = snap.hot;
-        } else {
-            // Zero-valued shadows at the captured instants keep the
-            // pairwise sample merge aligned.
-            self.samples = snap
-                .samples
-                .iter()
-                .map(|s| RawSample {
-                    t: s.t,
-                    live: 0,
-                    busy: 0,
-                    queue_sum: 0,
-                    sent_cum: 0,
-                    delivered_cum: 0,
-                })
-                .collect();
-        }
+        self.samples = snap.samples.clone();
+        self.sent = snap.sent;
+        self.delivered_cum = snap.delivered_cum;
+        self.duplicate_deliveries = snap.duplicate_deliveries;
+        self.phy = snap.phy;
+        self.data_tx_by_level = snap.data_tx_by_level.clone();
+        self.data_tx_unclassified = snap.data_tx_unclassified;
+        self.ctrl_tx = snap.ctrl_tx;
+        self.hot = snap.hot;
         Ok(())
-    }
-
-    /// Fold per-region-shard collection states into the global one.
-    /// Every integer is either a sum over shards (counters, raw probe
-    /// samples — each shard sampled only its own nodes at the same
-    /// instants) or a per-packet fate resolution: a delivery anywhere
-    /// wins (duplicates sum), else the globally-earliest drop by its
-    /// `(time, rank)` key — the one the single-threaded run recorded
-    /// first — else the packet is still in flight.
-    pub(crate) fn merge(mut parts: Vec<MetricsState>) -> MetricsState {
-        let mut base = parts.remove(0);
-        for part in parts {
-            debug_assert_eq!(base.samples.len(), part.samples.len());
-            for (a, b) in base.samples.iter_mut().zip(part.samples) {
-                debug_assert_eq!(a.t, b.t);
-                a.live += b.live;
-                a.busy += b.busy;
-                a.queue_sum += b.queue_sum;
-                a.sent_cum += b.sent_cum;
-                a.delivered_cum += b.delivered_cum;
-            }
-            base.sent += part.sent;
-            base.delivered_cum += part.delivered_cum;
-            base.duplicate_deliveries += part.duplicate_deliveries;
-            for (id, fate) in part.fates {
-                match base.fates.entry(id) {
-                    Entry::Vacant(v) => {
-                        v.insert(fate);
-                    }
-                    Entry::Occupied(mut o) => {
-                        let merged = match (*o.get(), fate) {
-                            (Fate::Delivered, _) | (_, Fate::Delivered) => Fate::Delivered,
-                            (
-                                Fate::Dropped {
-                                    reason: r1,
-                                    t: t1,
-                                    rank: k1,
-                                },
-                                Fate::Dropped {
-                                    reason: r2,
-                                    t: t2,
-                                    rank: k2,
-                                },
-                            ) => {
-                                if (t2, k2) < (t1, k1) {
-                                    Fate::Dropped {
-                                        reason: r2,
-                                        t: t2,
-                                        rank: k2,
-                                    }
-                                } else {
-                                    Fate::Dropped {
-                                        reason: r1,
-                                        t: t1,
-                                        rank: k1,
-                                    }
-                                }
-                            }
-                            (d @ Fate::Dropped { .. }, Fate::InFlight) => d,
-                            (Fate::InFlight, d @ Fate::Dropped { .. }) => d,
-                            (Fate::InFlight, Fate::InFlight) => Fate::InFlight,
-                        };
-                        o.insert(merged);
-                    }
-                }
-            }
-            base.phy.arrivals += part.phy.arrivals;
-            base.phy.decoded_ok += part.phy.decoded_ok;
-            base.phy.collided += part.phy.collided;
-            base.phy.capture_wins += part.phy.capture_wins;
-            base.phy.captured_away += part.phy.captured_away;
-            base.phy.below_rx_thresh += part.phy.below_rx_thresh;
-            base.phy.missed_while_tx += part.phy.missed_while_tx;
-            base.phy.impaired_arrivals += part.phy.impaired_arrivals;
-            for (a, b) in base.data_tx_by_level.iter_mut().zip(part.data_tx_by_level) {
-                *a += b;
-            }
-            base.data_tx_unclassified += part.data_tx_unclassified;
-            base.ctrl_tx += part.ctrl_tx;
-            base.hot.grid_queries += part.hot.grid_queries;
-            base.hot.grid_candidates += part.hot.grid_candidates;
-            base.hot.refresh_pops += part.hot.refresh_pops;
-            base.hot.refresh_rearms += part.hot.refresh_rearms;
-            base.hot.exact_samples += part.hot.exact_samples;
-            base.hot.probes += part.hot.probes;
-        }
-        base
     }
 
     /// Fold the collected state into the serializable report section.
@@ -945,59 +809,6 @@ mod tests {
         assert_eq!(d.ttl_expired, 0);
         assert_eq!(d.in_flight_end, 2);
         assert!(d.conserved());
-    }
-
-    #[test]
-    fn unseen_ids_record_directly_for_shard_merge() {
-        // A sink shard delivers (or drops) packets whose emission was
-        // registered on the source's shard: the fate records without a
-        // prior `note_sent`, and `sent` is untouched.
-        let mut m = MetricsState::new(MetricsConfig::default(), 1, vec![]);
-        m.note_delivered(PacketId(7));
-        drop_at(&mut m, 8, Drop::NoRoute, 5);
-        assert_eq!(m.sent, 0);
-        assert_eq!(m.delivered_cum, 1);
-        let s = m.finish(&[], None);
-        assert_eq!(s.drops.delivered_unique, 1);
-        assert_eq!(s.drops.no_route, 1);
-    }
-
-    #[test]
-    fn merge_resolves_fates_and_sums_counters() {
-        // Shard A owns the source: registers emissions.
-        let mut a = MetricsState::new(MetricsConfig::default(), 1, vec![1.0]);
-        for id in 0..4u64 {
-            a.note_sent(PacketId(id));
-        }
-        drop_at(&mut a, 1, Drop::NoRoute, 100); // later drop of a copy
-        drop_at(&mut a, 2, Drop::TtlExpired, 50);
-        a.note_data_tx(1.0);
-        a.record_probe(SimTime::from_nanos(1_000), 2, 1, 3);
-        // Shard B owns the sink: sees deliveries and earlier drops.
-        let mut b = MetricsState::new(MetricsConfig::default(), 1, vec![1.0]);
-        b.note_delivered(PacketId(0));
-        b.note_delivered(PacketId(0)); // duplicate
-        drop_at(&mut b, 1, Drop::MacQueueFull, 60); // globally first
-        b.note_delivered(PacketId(2)); // delivery beats A's drop
-        b.note_data_tx(1.0);
-        b.record_probe(SimTime::from_nanos(1_000), 1, 1, 2);
-
-        let m = MetricsState::merge(vec![a, b]);
-        let s = m.finish(&[], None);
-        let d = &s.drops;
-        assert_eq!(d.sent, 4);
-        assert_eq!(d.delivered_unique, 2);
-        assert_eq!(d.duplicate_deliveries, 1);
-        assert_eq!(d.mac_queue_full, 1, "earliest (time, rank) drop wins");
-        assert_eq!(d.no_route, 0);
-        assert_eq!(d.ttl_expired, 0);
-        assert_eq!(d.in_flight_end, 1);
-        assert!(d.conserved());
-        assert_eq!(s.tx_power.data_tx_by_level, vec![2]);
-        assert_eq!(s.samples.len(), 1);
-        assert_eq!(s.samples[0].live_nodes, 3);
-        assert_eq!(s.samples[0].busy_nodes, 2);
-        assert!((s.samples[0].mean_queue_len - 5.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -104,8 +104,7 @@ impl TrafficSource {
 /// One station: radios, MAC, routing, traffic endpoints, meter.
 /// Movement and the other dispatch-hot per-node scalars live in the
 /// simulator's struct-of-arrays state, not here — `Node` is the *cold*
-/// half (protocol machines, tables, counters) that a region shard only
-/// materialises for nodes it owns.
+/// half (protocol machines, tables, counters).
 #[derive(Debug)]
 pub struct Node {
     /// Station address.

@@ -56,7 +56,7 @@ use pcmac_phy::radio::RadioEvent;
 use pcmac_phy::{GainCache, PropagationModel, Shadowed, SparseGainCache, TwoRayGround};
 
 use crate::config::{
-    ChannelIndexMode, ExecutionMode, GainCacheMode, MobilityRefreshMode, NodeSetup, ScenarioConfig,
+    ChannelIndexMode, GainCacheMode, MobilityRefreshMode, NodeSetup, ScenarioConfig,
 };
 use crate::event::SimEvent;
 use crate::fault::FaultConfig;
@@ -177,11 +177,10 @@ pub(crate) struct FaultState {
     repairs_started: u64,
     repair_latency: pcmac_stats::StreamingQuantile,
     /// Phase-classification facts in processing order, each keyed by the
-    /// global `(time, rank)` of the event that produced it. Classifying
-    /// lazily at report time (instead of against a live, mutating fault
-    /// window) is what lets region shards — which each observe only their
-    /// own slice of the event stream — merge their facts into the exact
-    /// single-threaded counters: sort by key and replay.
+    /// `(time, rank)` of the event that produced it. They are classified
+    /// lazily at report time, against the final fault window, so an
+    /// energy death extends the window exactly where it happened in the
+    /// record order.
     records: Vec<(SimTime, u128, FaultRecord)>,
 }
 
@@ -205,35 +204,6 @@ enum FaultRecord {
 }
 
 impl FaultState {
-    /// Merge per-shard fault states into the global one: per-node state is
-    /// taken from each node's owner, counters are summed in shard order,
-    /// and the classification records are merged by their global
-    /// `(time, rank)` keys (a stable sort, so same-shard facts from one
-    /// event keep their intra-event order; cross-shard key collisions are
-    /// impossible because a rank pins the event to one node).
-    pub(crate) fn merge(mut parts: Vec<FaultState>, owner: &[u32]) -> FaultState {
-        let mut base = parts.remove(0);
-        for (k, part) in parts.into_iter().enumerate() {
-            let sid = k as u32 + 1;
-            for (i, &o) in owner.iter().enumerate() {
-                if o == sid {
-                    base.down[i] = part.down[i];
-                    base.committed_mj[i] = part.committed_mj[i];
-                    base.energy_dead[i] = part.energy_dead[i];
-                }
-            }
-            base.crashes += part.crashes;
-            base.recoveries += part.recoveries;
-            base.energy_deaths += part.energy_deaths;
-            base.repairs_started += part.repairs_started;
-            base.repair_latency.merge(&part.repair_latency);
-            base.pending_repairs.extend(part.pending_repairs);
-            base.records.extend(part.records);
-        }
-        base.records.sort_by_key(|&(t, r, _)| (t, r));
-        base
-    }
-
     pub(crate) fn into_report(self) -> ResilienceReport {
         // Replay the classification records in global processing order
         // against the static window, applying energy-death window
@@ -301,15 +271,13 @@ impl FaultState {
     }
 
     /// Capture everything the build cannot reconstruct from the fault
-    /// plan into a portable checkpoint image. Repair observations and
-    /// classification records are sorted into their canonical key order
-    /// so a sharded capture and a single-threaded one produce identical
-    /// bytes.
+    /// plan into a portable checkpoint image. Open repair observations
+    /// are sorted by key: their live order depends on removal history,
+    /// so sorting makes a resumed run's later captures byte-identical to
+    /// the uninterrupted run's. The records are already in key order.
     pub(crate) fn capture(&self) -> FaultSnap {
         let mut pending_repairs = self.pending_repairs.clone();
         pending_repairs.sort_by_key(|&(node, dst, t)| (node, dst, t));
-        let mut records = self.records.clone();
-        records.sort_by_key(|&(t, r, _)| (t, r));
         FaultSnap {
             down: self.down.clone(),
             burst_active: self.burst_active.clone(),
@@ -326,24 +294,12 @@ impl FaultState {
             pending_repairs,
             repairs_started: self.repairs_started,
             repair_latency: self.repair_latency.clone(),
-            records,
+            records: self.records.clone(),
         }
     }
 
-    /// Overlay a checkpoint image on a freshly-built state. Per-node
-    /// flags and the global impairment products replicate everywhere
-    /// (every lane needs them to dispatch correctly); cumulative
-    /// counters, the latency sketch, and the classification records load
-    /// only into the `primary` lane (single-threaded, or region shard 0)
-    /// so the post-run merge sums back to the uninterrupted totals. Open
-    /// repair observations route to the lane owning their node per
-    /// `shard` (`None` keeps them all).
-    pub(crate) fn restore_from(
-        &mut self,
-        snap: &FaultSnap,
-        primary: bool,
-        shard: Option<(&[u32], u32)>,
-    ) -> Result<(), &'static str> {
+    /// Overlay a checkpoint image on a freshly-built state.
+    pub(crate) fn restore_from(&mut self, snap: &FaultSnap) -> Result<(), &'static str> {
         if snap.down.len() != self.down.len()
             || snap.committed_mj.len() != self.committed_mj.len()
             || snap.energy_dead.len() != self.energy_dead.len()
@@ -362,20 +318,13 @@ impl FaultState {
         self.window_start = snap.window_start;
         self.window_end = snap.window_end;
         self.run_end = snap.run_end;
-        self.pending_repairs = snap
-            .pending_repairs
-            .iter()
-            .copied()
-            .filter(|&(node, _, _)| shard.is_none_or(|(owner, id)| owner[node as usize] == id))
-            .collect();
-        if primary {
-            self.crashes = snap.crashes;
-            self.recoveries = snap.recoveries;
-            self.energy_deaths = snap.energy_deaths;
-            self.repairs_started = snap.repairs_started;
-            self.repair_latency = snap.repair_latency.clone();
-            self.records = snap.records.clone();
-        }
+        self.pending_repairs = snap.pending_repairs.clone();
+        self.crashes = snap.crashes;
+        self.recoveries = snap.recoveries;
+        self.energy_deaths = snap.energy_deaths;
+        self.repairs_started = snap.repairs_started;
+        self.repair_latency = snap.repair_latency.clone();
+        self.records = snap.records.clone();
         Ok(())
     }
 }
@@ -405,8 +354,7 @@ pub(crate) struct FaultSnap {
 }
 
 impl FaultSnap {
-    /// Nodes down at the cut (used to seed alive flags and shard
-    /// transition logs on restore).
+    /// Nodes down at the cut (used to seed the alive flags on restore).
     pub(crate) fn down(&self) -> &[bool] {
         &self.down
     }
@@ -464,79 +412,18 @@ mod fault_snap {
     });
 }
 
-/// Per-shard execution context: which nodes this simulator dispatches,
-/// the outgoing cross-region arrival shipments of the current window,
-/// and the down-state transition log other regions cull against.
-#[derive(Debug)]
-pub(crate) struct ShardCtx {
-    /// This shard's id.
-    pub(crate) id: u32,
-    /// Owning shard per node (shared, read-only).
-    pub(crate) owner: Arc<Vec<u32>>,
-    /// Outgoing shipments, bucketed by destination shard (slot `id` is
-    /// always empty — owned receivers schedule locally).
-    pub(crate) outbox: Vec<Vec<Shipment>>,
-    /// Per-owned-node down-state transitions `(time, rank, down)`,
-    /// appended only on actual state flips, in event order. Shipped
-    /// arrivals are culled against the state strictly before their
-    /// transmission's `(time, rank)` — exactly the cull the
-    /// single-threaded sender loop applies inline.
-    pub(crate) transitions: Vec<Vec<(SimTime, u128, bool)>>,
-}
-
-/// One ready-made cross-region arrival pair: everything the receiving
-/// shard needs to schedule the `ArrivalStart`/`ArrivalEnd` (or ctrl)
-/// events its own sender loop would have produced.
-#[derive(Debug, Clone)]
-pub(crate) enum Shipment {
-    /// Data-channel arrival.
-    Data {
-        at: SimTime,
-        node: NodeId,
-        key: u64,
-        power: Milliwatts,
-        end: SimTime,
-        frame: Arc<Frame>,
-        /// Global `(time, rank)` of the transmitting event, for the
-        /// receiver-side down-state cull.
-        tx: (SimTime, u128),
-    },
-    /// Control-channel arrival.
-    Ctrl {
-        at: SimTime,
-        node: NodeId,
-        key: u64,
-        power: Milliwatts,
-        end: SimTime,
-        frame: CtrlFrame,
-        tx: (SimTime, u128),
-    },
-}
-
-/// What one shard contributes to the merged report, extracted after its
-/// queue drains (see `parallel::run_sharded`).
-pub(crate) struct ShardParts {
-    /// The shard's full node replica (only owned entries are merged).
-    pub(crate) nodes: Vec<Option<Box<Node>>>,
-    /// Application packets emitted by owned sources.
-    pub(crate) sent_packets: u64,
-    /// Non-probe events scheduled on this shard's queue.
-    pub(crate) events: u64,
-    pub(crate) faults: Option<FaultState>,
-    pub(crate) metrics: Option<MetricsState>,
-    pub(crate) cache_stats: Option<pcmac_phy::SparseCacheStats>,
-}
-
 /// A configured, runnable simulation.
 pub struct Simulator {
     cfg: ScenarioConfig,
     queue: EventQueue<SimEvent>,
-    /// Cold per-node state, present only for owned nodes (`None` for
-    /// nodes another region shard owns; always all-present in single
-    /// mode). Boxed so a shard's vector of absentees stays thin.
-    nodes: Vec<Option<Box<Node>>>,
+    /// Cold per-node state: radios, MAC, routing, traffic, energy. One
+    /// allocation per node, the layout the build-time, snapshot and
+    /// peak-RSS measurements were taken against; changing it is a
+    /// separately measured change.
+    #[allow(clippy::vec_box)]
+    nodes: Vec<Box<Node>>,
     /// Struct-of-arrays hot per-node state: positions, movement,
-    /// tracked/alive flags, carrier/queue mirrors, tx-key counters.
+    /// alive flags, carrier/queue mirrors, tx-key counters.
     hot: HotState,
     positions_at: Option<SimTime>,
     any_mobile: bool,
@@ -557,18 +444,10 @@ pub struct Simulator {
     refresh_heap: BinaryHeap<Reverse<(SimTime, u32)>>,
     /// Propagation-delay floor in nanoseconds (0 = exact delays).
     delay_floor_ns: u64,
-    /// `(time, rank)` of the event currently being dispatched — the
-    /// global position in the event order, used to key fault records and
-    /// packet-drop facts so they merge deterministically across shards.
+    /// `(time, rank)` of the event currently being dispatched — its
+    /// position in the event order, used to key fault records and
+    /// packet-drop facts.
     cur: (SimTime, u128),
-    /// Region-shard context (`Some` iff this simulator is one shard of a
-    /// sharded run).
-    shard: Option<ShardCtx>,
-    /// A snapshot waiting to be applied. Single-threaded restores apply
-    /// immediately and never stash one; sharded restores park it here so
-    /// `parallel::run_sharded` can overlay each owner-only shard *after*
-    /// the shard build (which re-initialises the donated cold state).
-    resume: Option<Arc<crate::snapshot::SimSnapshot>>,
     sent_packets: u64,
     /// Fault-injection runtime state (`Some` iff the scenario has a
     /// fault plan).
@@ -599,55 +478,11 @@ impl Simulator {
     /// expansion) validate first and surface the same list as a
     /// `Result` instead.
     pub fn new(cfg: ScenarioConfig) -> Self {
-        Self::build(cfg, None, &mut [])
-    }
-
-    /// Build shard `id` of a `shards`-way region run directly in
-    /// owner-only form: cold [`Node`] state, traffic sources, and
-    /// build-time events (first emissions, crashes, churn) materialise
-    /// only for owned nodes, and the spatial index is pruned to the
-    /// tracked set (owned + halo). Replicated machinery (impairment
-    /// bursts, the probe chain) is scheduled everywhere.
-    ///
-    /// `donor` recycles cold state from an already-built full replica
-    /// (see [`Simulator::take_cold_nodes`]): owned entries found there
-    /// are *moved* in instead of constructed, so splitting one full
-    /// simulator into S shards allocates no second copy of any node —
-    /// the process peak stays at one full build. A freshly built box
-    /// and a donated one are identical by construction (per-node RNG
-    /// streams derive from the node id; the donor's attached traffic
-    /// sources are cleared and re-attached below).
-    pub(crate) fn new_shard(
-        cfg: ScenarioConfig,
-        id: u32,
-        shards: usize,
-        owner: Arc<Vec<u32>>,
-        donor: &mut [Option<Box<Node>>],
-    ) -> Self {
-        Self::build(cfg, Some((id, shards, owner)), donor)
-    }
-
-    /// Move the cold per-node state out, leaving `None`s — the donor
-    /// side of the no-realloc shard split in [`Simulator::new_shard`].
-    pub(crate) fn take_cold_nodes(&mut self) -> Vec<Option<Box<Node>>> {
-        std::mem::take(&mut self.nodes)
-    }
-
-    fn build(
-        cfg: ScenarioConfig,
-        shard_plan: Option<(u32, usize, Arc<Vec<u32>>)>,
-        donor: &mut [Option<Box<Node>>],
-    ) -> Self {
         if let Err(e) = cfg.validate() {
             panic!("{e}");
         }
         let n = cfg.nodes.count();
-        let owned = |i: usize| {
-            shard_plan
-                .as_ref()
-                .is_none_or(|(id, _, owner)| owner[i] == *id)
-        };
-        let mut nodes: Vec<Option<Box<Node>>> = Vec::with_capacity(n);
+        let mut nodes: Vec<Box<Node>> = Vec::with_capacity(n);
         let mut mobility = Vec::with_capacity(n);
         let mut positions = Vec::with_capacity(n);
         let mut any_mobile = false;
@@ -678,30 +513,13 @@ impl Simulator {
                 NodeSetup::Static(_) => Mobility::Static(*start),
             };
             mobility.push(m);
-            // Cold state only for owned nodes: this is the owner-only
-            // memory model — a shard never assembles the radios, MAC
-            // queues, and routing tables of nodes another region
-            // dispatches.
-            let cold = if owned(i) {
-                Some(match donor.get_mut(i).and_then(Option::take) {
-                    Some(mut b) => {
-                        // Re-attached (identically) by the flow loop
-                        // below, like a fresh box's.
-                        b.sources.clear();
-                        b
-                    }
-                    None => Box::new(Node::new(
-                        NodeId(i as u32),
-                        cfg.radio.clone(),
-                        cfg.mac.clone(),
-                        cfg.aodv.clone(),
-                        cfg.seed,
-                    )),
-                })
-            } else {
-                None
-            };
-            nodes.push(cold);
+            nodes.push(Box::new(Node::new(
+                NodeId(i as u32),
+                cfg.radio.clone(),
+                cfg.mac.clone(),
+                cfg.aodv.clone(),
+                cfg.seed,
+            )));
             positions.push(*start);
         }
 
@@ -711,11 +529,7 @@ impl Simulator {
         for spec in &cfg.flows {
             let home = spec.src.index();
             assert!(home < nodes.len(), "flow source out of range");
-            // Source RNG streams derive per flow id, so skipping the
-            // foreign homes perturbs nothing an owned source draws.
-            let Some(home_node) = nodes[home].as_deref_mut() else {
-                continue;
-            };
+            let home_node = &mut nodes[home];
             let mut src = TrafficSource::from_spec(spec, cfg.seed);
             if let Some(t0) = src.next_time() {
                 let source_idx = home_node.sources.len();
@@ -742,30 +556,23 @@ impl Simulator {
             let mut ends: Vec<f64> = Vec::new();
             if let Some(crashes) = &plan.crashes {
                 for cw in crashes {
-                    // The fault *window* is global — every shard derives
-                    // identical phase boundaries — but the events
-                    // themselves are owner-only.
-                    if owned(cw.node as usize) {
-                        sched_into(
-                            &mut queue,
-                            at(cw.at_s),
-                            SimEvent::NodeDown {
-                                node: NodeId(cw.node),
-                            },
-                        );
-                    }
+                    sched_into(
+                        &mut queue,
+                        at(cw.at_s),
+                        SimEvent::NodeDown {
+                            node: NodeId(cw.node),
+                        },
+                    );
                     starts.push(cw.at_s);
                     match cw.recover_s {
                         Some(r) => {
-                            if owned(cw.node as usize) {
-                                sched_into(
-                                    &mut queue,
-                                    at(r),
-                                    SimEvent::NodeUp {
-                                        node: NodeId(cw.node),
-                                    },
-                                );
-                            }
+                            sched_into(
+                                &mut queue,
+                                at(r),
+                                SimEvent::NodeUp {
+                                    node: NodeId(cw.node),
+                                },
+                            );
                             ends.push(r.min(dur_s));
                         }
                         None => ends.push(dur_s),
@@ -778,7 +585,7 @@ impl Simulator {
                 if w1 > w0 {
                     starts.push(w0);
                     ends.push(w1);
-                    for i in (0..n).filter(|&i| owned(i)) {
+                    for i in 0..n {
                         let mut rng = RngStream::derive_sub(cfg.seed, "faults.churn", i as u64);
                         let node = NodeId(i as u32);
                         let mut t = w0;
@@ -937,30 +744,6 @@ impl Simulator {
 
         let delay_floor_ns = cfg.delay_floor().as_nanos();
 
-        // Region shards keep hot state only for owned nodes plus the
-        // boundary halo; the spatial index is pruned to match, so grid
-        // queries (always issued from owned transmitters) stay exact
-        // while bucket memory shrinks to O(N/S + halo).
-        let (tracked, shard) = match shard_plan {
-            None => (vec![true; n], None),
-            Some((id, shards, owner)) => {
-                let tracked = compute_tracked(&owner, id, &positions, any_mobile, max_reach);
-                (
-                    tracked,
-                    Some(ShardCtx {
-                        id,
-                        owner,
-                        outbox: vec![Vec::new(); shards],
-                        transitions: vec![Vec::new(); n],
-                    }),
-                )
-            }
-        };
-        let mut grid = grid;
-        if shard.is_some() {
-            grid.retain_nodes(|i| tracked[i as usize]);
-        }
-
         Simulator {
             use_grid,
             lazy_refresh,
@@ -971,7 +754,6 @@ impl Simulator {
             hot: HotState {
                 positions,
                 mobility,
-                tracked,
                 alive: vec![true; n],
                 busy: vec![false; n],
                 queue_len: vec![0; n],
@@ -988,8 +770,6 @@ impl Simulator {
             refresh_heap,
             delay_floor_ns,
             cur: (SimTime::ZERO, 0),
-            shard,
-            resume: None,
             sent_packets: 0,
             faults,
             metrics,
@@ -1003,96 +783,15 @@ impl Simulator {
     }
 
     /// Run to the configured duration and produce the report.
-    ///
-    /// Under [`ExecutionMode::Sharded`] the run executes on that many
-    /// region threads and produces a report bit-identical to the
-    /// single-threaded one (hot-path instrumentation counters aside,
-    /// which — as across refresh/cache modes — reflect the execution
-    /// strategy itself).
     pub fn run(self) -> RunReport {
-        match self.cfg.execution_mode() {
-            ExecutionMode::Single => self.run_single(&mut |_, _| {}),
-            ExecutionMode::Sharded { shards } => crate::parallel::run_sharded(self, shards, None),
-        }
+        self.run_with_observer(|_, _| {})
     }
 
     /// Like [`Simulator::run`], but calls `observer` with every event
     /// just before it is dispatched — the hook for packet traces,
     /// animations, or custom measurements. The observer sees events in
-    /// exact execution order (sharded runs buffer per-region streams and
-    /// replay the deterministic merge to the observer after the run).
-    pub fn run_with_observer(self, mut observer: impl FnMut(&SimEvent, SimTime)) -> RunReport {
-        match self.cfg.execution_mode() {
-            ExecutionMode::Single => self.run_single(&mut observer),
-            ExecutionMode::Sharded { shards } => {
-                crate::parallel::run_sharded(self, shards, Some(&mut observer))
-            }
-        }
-    }
-
-    /// Like [`Simulator::run`], with in-run durability controls: a
-    /// cooperative [`CancelToken`](crate::CancelToken) observed at cut
-    /// boundaries, and periodic checkpoints on an absolute simulated-time
-    /// grid delivered to a sink. Both work identically under single and
-    /// sharded execution — checkpoints land at the same simulated
-    /// instants with bit-identical state, and a cancelled run returns a
-    /// final snapshot instead of a report.
-    pub fn run_with_hooks(
-        self,
-        hooks: crate::snapshot::RunHooks<'_>,
-    ) -> crate::snapshot::RunOutcome {
-        match self.cfg.execution_mode() {
-            ExecutionMode::Single => self.run_single_hooked(&hooks),
-            ExecutionMode::Sharded { shards } => {
-                crate::parallel::run_sharded_hooked(self, shards, &hooks)
-            }
-        }
-    }
-
-    /// Schedule `ev` at `at` with its content-derived rank.
-    #[inline]
-    fn sched(&mut self, at: SimTime, ev: SimEvent) {
-        self.queue.schedule_ranked(at, ev.rank(), ev);
-    }
-
-    /// The cold state of node `i`.
-    ///
-    /// # Panics
-    /// If this shard does not hold node `i`'s cold state — events only
-    /// ever address owned nodes, so a miss here is a sharding bug.
-    #[inline]
-    fn node(&self, i: usize) -> &Node {
-        self.nodes[i]
-            .as_deref()
-            .expect("event dispatched for a node this shard does not own")
-    }
-
-    /// Mutable [`Simulator::node`].
-    #[inline]
-    fn node_mut(&mut self, i: usize) -> &mut Node {
-        self.nodes[i]
-            .as_deref_mut()
-            .expect("event dispatched for a node this shard does not own")
-    }
-
-    /// Refresh node `i`'s hot mirrors from the authoritative cold
-    /// state; a no-op for nodes whose cold state lives elsewhere.
-    #[inline]
-    fn sync_hot(&mut self, i: usize) {
-        if let Some(node) = self.nodes[i].as_deref() {
-            self.hot.busy[i] = node.radio.carrier_busy();
-            self.hot.queue_len[i] = node.mac.queue_len() as u32;
-        }
-    }
-
-    /// How many nodes this simulator keeps hot state fresh for (owned +
-    /// halo in a region shard; all N otherwise) — the shard-memory
-    /// observable the bench memory budget is written against.
-    pub fn tracked_nodes(&self) -> usize {
-        self.hot.tracked.iter().filter(|t| **t).count()
-    }
-
-    fn run_single(mut self, observer: &mut dyn FnMut(&SimEvent, SimTime)) -> RunReport {
+    /// exact execution order.
+    pub fn run_with_observer(mut self, mut observer: impl FnMut(&SimEvent, SimTime)) -> RunReport {
         let wall_start = std::time::Instant::now();
         let end = SimTime::ZERO + self.cfg.duration;
         while let Some(t) = self.queue.peek_time() {
@@ -1104,17 +803,34 @@ impl Simulator {
             observer(&ev.event, ev.at);
             self.dispatch(ev.event, ev.at);
         }
-        self.finalize_single(wall_start, end)
+        self.finalize(wall_start, end)
     }
 
-    /// Single-threaded run with cancellation and periodic checkpoints.
-    /// The cut logic mirrors the sharded epoch loop exactly: whenever the
-    /// next event's time reaches a checkpoint grid instant, every grid
-    /// instant up to it is snapshotted *before* the event dispatches, so
-    /// both execution modes checkpoint at identical simulated times.
-    fn run_single_hooked(
+    /// Schedule `ev` at `at` with its content-derived rank.
+    #[inline]
+    fn sched(&mut self, at: SimTime, ev: SimEvent) {
+        self.queue.schedule_ranked(at, ev.rank(), ev);
+    }
+
+    /// Refresh node `i`'s hot mirrors from the authoritative cold state.
+    #[inline]
+    fn sync_hot(&mut self, i: usize) {
+        let node = &self.nodes[i];
+        self.hot.busy[i] = node.radio.carrier_busy();
+        self.hot.queue_len[i] = node.mac.queue_len() as u32;
+    }
+
+    /// Like [`Simulator::run`], with in-run durability controls: a
+    /// cooperative [`CancelToken`](crate::CancelToken) observed at cut
+    /// boundaries, and periodic checkpoints on an absolute simulated-time
+    /// grid delivered to a sink. Whenever the next event's time reaches a
+    /// checkpoint grid instant, every grid instant up to it is
+    /// snapshotted *before* the event dispatches, so a resumed run
+    /// checkpoints at the same simulated instants as an uninterrupted
+    /// one. A cancelled run returns a final snapshot instead of a report.
+    pub fn run_with_hooks(
         mut self,
-        hooks: &crate::snapshot::RunHooks<'_>,
+        hooks: crate::snapshot::RunHooks<'_>,
     ) -> crate::snapshot::RunOutcome {
         use crate::snapshot::RunOutcome;
         let wall_start = std::time::Instant::now();
@@ -1156,15 +872,15 @@ impl Simulator {
             self.cur = (ev.at, ev.rank);
             self.dispatch(ev.event, ev.at);
         }
-        RunOutcome::Completed(self.finalize_single(wall_start, end))
+        RunOutcome::Completed(self.finalize(wall_start, end))
     }
 
-    /// Close the ledgers and build the report after the single-threaded
-    /// event loop drains (shared by the plain and hooked run paths).
-    fn finalize_single(mut self, wall_start: std::time::Instant, end: SimTime) -> RunReport {
+    /// Close the ledgers and build the report after the event loop
+    /// drains (shared by the plain and hooked run paths).
+    fn finalize(mut self, wall_start: std::time::Instant, end: SimTime) -> RunReport {
         let mut nodes: Vec<Node> = std::mem::take(&mut self.nodes)
             .into_iter()
-            .map(|b| *b.expect("single mode owns every node"))
+            .map(|b| *b)
             .collect();
         for node in &mut nodes {
             node.energy.finish(end);
@@ -1223,11 +939,11 @@ impl Simulator {
                 // Radio state *before* the arrival, for the PHY drop
                 // taxonomy (reads only; skipped entirely when off).
                 let pre = self.metrics.as_ref().map(|_| {
-                    let r = &self.node(i).radio;
+                    let r = &self.nodes[i].radio;
                     (r.is_transmitting(), r.is_receiving())
                 });
                 let mut rad = self.rad_pool.take();
-                self.node_mut(i)
+                self.nodes[i]
                     .radio
                     .on_arrival_start(key, power, end, &frame, &mut rad);
                 if let (Some((was_tx, was_rx)), Some(m)) = (pre, &mut self.metrics) {
@@ -1268,7 +984,7 @@ impl Simulator {
             SimEvent::ArrivalEnd { node, key } => {
                 let i = node.index();
                 let mut rad = self.rad_pool.take();
-                self.node_mut(i).radio.on_arrival_end(key, &mut rad);
+                self.nodes[i].radio.on_arrival_end(key, &mut rad);
                 if let Some(m) = &mut self.metrics {
                     for ev in &rad {
                         if let RadioEvent::RxEnd { ok, .. } = ev {
@@ -1289,12 +1005,12 @@ impl Simulator {
             SimEvent::TxEnd { node } => {
                 let i = node.index();
                 let mut rad = self.rad_pool.take();
-                let node = self.node_mut(i);
+                let node = &mut self.nodes[i];
                 node.radio.end_tx(&mut rad);
                 node.energy.set_mode(now, RadioMode::Idle, Milliwatts::ZERO);
                 self.forward_radio_events(i, rad, now);
                 let mut acts = self.mac_pool.take();
-                self.node_mut(i).mac.on_tx_end(now, &mut acts);
+                self.nodes[i].mac.on_tx_end(now, &mut acts);
                 self.apply_mac_actions(i, acts, now);
             }
             SimEvent::CtrlArrivalStart {
@@ -1305,14 +1021,14 @@ impl Simulator {
                 frame,
             } => {
                 let mut rad = self.ctrl_pool.take();
-                self.node_mut(node.index())
+                self.nodes[node.index()]
                     .ctrl_radio
                     .on_arrival_start(key, power, end, &frame, &mut rad);
                 self.forward_ctrl_events(node.index(), rad, now);
             }
             SimEvent::CtrlArrivalEnd { node, key } => {
                 let mut rad = self.ctrl_pool.take();
-                self.node_mut(node.index())
+                self.nodes[node.index()]
                     .ctrl_radio
                     .on_arrival_end(key, &mut rad);
                 self.forward_ctrl_events(node.index(), rad, now);
@@ -1320,22 +1036,22 @@ impl Simulator {
             SimEvent::CtrlTxEnd { node } => {
                 let i = node.index();
                 let mut rad = self.ctrl_pool.take();
-                self.node_mut(i).ctrl_radio.end_tx(&mut rad);
+                self.nodes[i].ctrl_radio.end_tx(&mut rad);
                 // The tolerance broadcast happens while the data radio is
                 // mid-reception; energy for it was accounted at start.
                 self.ctrl_pool.put(rad);
-                self.node_mut(i).mac.on_ctrl_tx_end(now);
+                self.nodes[i].mac.on_ctrl_tx_end(now);
             }
             SimEvent::MacTimer { node, kind, token } => {
                 let i = node.index();
                 let mut acts = self.mac_pool.take();
-                self.node_mut(i).mac.on_timer(kind, token, now, &mut acts);
+                self.nodes[i].mac.on_timer(kind, token, now, &mut acts);
                 self.apply_mac_actions(i, acts, now);
             }
             SimEvent::AodvTimer { node, dst, token } => {
                 let i = node.index();
                 let mut acts = self.aodv_pool.take();
-                self.node_mut(i)
+                self.nodes[i]
                     .aodv
                     .on_discovery_timeout(dst, token, now, &mut acts);
                 self.apply_aodv_actions(i, acts, now);
@@ -1343,7 +1059,7 @@ impl Simulator {
             SimEvent::TrafficEmit { node, source } => {
                 let i = node.index();
                 let (packet, next) = {
-                    let src = &mut self.node_mut(i).sources[source];
+                    let src = &mut self.nodes[i].sources[source];
                     let packet = src.emit(now);
                     (packet, src.next_time())
                 };
@@ -1367,11 +1083,11 @@ impl Simulator {
                     }
                 }
                 let mut acts = self.aodv_pool.take();
-                self.node_mut(i).aodv.send(packet, now, &mut acts);
+                self.nodes[i].aodv.send(packet, now, &mut acts);
                 self.apply_aodv_actions(i, acts, now);
             }
-            SimEvent::NodeDown { node } => self.on_node_down(node.index(), now),
-            SimEvent::NodeUp { node } => self.on_node_up(node.index(), now),
+            SimEvent::NodeDown { node } => self.on_node_down(node.index()),
+            SimEvent::NodeUp { node } => self.on_node_up(node.index()),
             SimEvent::ImpairmentStart { index } => self.set_impairment(index, true),
             SimEvent::ImpairmentEnd { index } => self.set_impairment(index, false),
             SimEvent::MetricsProbe => self.on_metrics_probe(now),
@@ -1387,13 +1103,6 @@ impl Simulator {
         let mut busy = 0u64;
         let mut queue_sum = 0u64;
         for i in 0..self.hot.alive.len() {
-            // Each region shard samples its own nodes; the per-shard
-            // integer sums add up to exactly the single-threaded sample.
-            if let Some(ctx) = &self.shard {
-                if ctx.owner[i] != ctx.id {
-                    continue;
-                }
-            }
             // The probe is the natural audit point for the hot mirrors:
             // debug builds cross-check them against the cold state.
             debug_assert_eq!(
@@ -1403,12 +1112,12 @@ impl Simulator {
             );
             debug_assert_eq!(
                 self.hot.busy[i],
-                self.node(i).radio.carrier_busy(),
+                self.nodes[i].radio.carrier_busy(),
                 "carrier mirror diverged for node {i}"
             );
             debug_assert_eq!(
                 self.hot.queue_len[i] as usize,
-                self.node(i).mac.queue_len(),
+                self.nodes[i].mac.queue_len(),
                 "queue mirror diverged for node {i}"
             );
             if !self.hot.alive[i] {
@@ -1441,12 +1150,8 @@ impl Simulator {
 
     /// Apply a `NodeDown`: from here on the node schedules no arrivals,
     /// is skipped as a receiver, and accrues no transmit energy. See
-    /// [`FaultState`] for the full crash semantics. In a sharded run the
-    /// transition is also logged under its global `(time, rank)` so
-    /// neighbouring regions' in-flight transmissions can be culled
-    /// against the exact down-state at their send instant.
-    fn on_node_down(&mut self, i: usize, now: SimTime) {
-        let rank = self.cur.1;
+    /// [`FaultState`] for the full crash semantics.
+    fn on_node_down(&mut self, i: usize) {
         let Some(fs) = &mut self.faults else { return };
         if fs.down[i] {
             return; // a scheduled crash overlapping churn: already down
@@ -1454,14 +1159,11 @@ impl Simulator {
         fs.down[i] = true;
         fs.crashes += 1;
         self.hot.alive[i] = false;
-        if let Some(ctx) = &mut self.shard {
-            ctx.transitions[i].push((now, rank, true));
-        }
     }
 
     /// Apply a `NodeUp`. Exhausted energy budgets are permanent: a
     /// churn recovery scheduled for later cannot resurrect the node.
-    fn on_node_up(&mut self, i: usize, now: SimTime) {
+    fn on_node_up(&mut self, i: usize) {
         let expire = {
             let Some(fs) = &mut self.faults else { return };
             if !fs.down[i] || fs.energy_dead[i] {
@@ -1472,16 +1174,13 @@ impl Simulator {
             fs.plan.expire_routes == Some(true)
         };
         self.hot.alive[i] = true;
-        if let Some(ctx) = &mut self.shard {
-            ctx.transitions[i].push((now, self.cur.1, false));
-        }
         if expire {
             // Reboot semantics: routing state is volatile and is lost
             // with the node; the experimenter's counters survive.
-            let counters = self.node(i).aodv.counters;
-            self.node_mut(i).aodv =
+            let counters = self.nodes[i].aodv.counters;
+            self.nodes[i].aodv =
                 pcmac_aodv::AodvAgent::new(NodeId(i as u32), self.cfg.aodv.clone());
-            self.node_mut(i).aodv.counters = counters;
+            self.nodes[i].aodv.counters = counters;
         }
     }
 
@@ -1505,7 +1204,7 @@ impl Simulator {
         if noise != fs.noise_mult {
             fs.noise_mult = noise;
             let floor = self.cfg.radio.noise_floor * noise;
-            for node in self.nodes.iter_mut().flatten() {
+            for node in &mut self.nodes {
                 node.radio.set_noise_floor(floor);
                 node.ctrl_radio.set_noise_floor(floor);
             }
@@ -1594,7 +1293,7 @@ impl Simulator {
         for ev in events.drain(..) {
             let mut acts = self.mac_pool.take();
             {
-                let node = self.node_mut(i);
+                let node = &mut self.nodes[i];
                 let noise = node.radio.noise_power();
                 node.mac.set_noise(noise);
                 match ev {
@@ -1634,7 +1333,7 @@ impl Simulator {
                 ..
             } = ev
             {
-                self.node_mut(i).mac.on_ctrl_rx(frame, power, now);
+                self.nodes[i].mac.on_ctrl_rx(frame, power, now);
             }
         }
         self.ctrl_pool.put(events);
@@ -1661,9 +1360,7 @@ impl Simulator {
                 }
                 MacAction::Deliver { packet, from } => {
                     let mut acts = self.aodv_pool.take();
-                    self.node_mut(i)
-                        .aodv
-                        .on_packet(packet, from, now, &mut acts);
+                    self.nodes[i].aodv.on_packet(packet, from, now, &mut acts);
                     self.apply_aodv_actions(i, acts, now);
                 }
                 MacAction::LinkFailure { packet, next_hop } => {
@@ -1672,16 +1369,16 @@ impl Simulator {
                     }
                     // Purge other frames queued for the dead hop first, so
                     // the routing agent can salvage or drop them too.
-                    let drained = self.node_mut(i).mac.drain_next_hop(next_hop);
+                    let drained = self.nodes[i].mac.drain_next_hop(next_hop);
                     let mut acts = self.aodv_pool.take();
-                    self.node_mut(i)
+                    self.nodes[i]
                         .aodv
                         .on_link_failure(packet, next_hop, now, &mut acts);
                     for qp in drained {
                         if self.faults.is_some() && !qp.packet.payload.is_routing() {
                             self.note_repair_start(i, qp.packet.dst, now);
                         }
-                        self.node_mut(i)
+                        self.nodes[i]
                             .aodv
                             .on_link_failure(qp.packet, next_hop, now, &mut acts);
                     }
@@ -1719,9 +1416,7 @@ impl Simulator {
                         self.note_repair_complete(i, packet.dst, now);
                     }
                     let mut acts = self.mac_pool.take();
-                    self.node_mut(i)
-                        .mac
-                        .enqueue(packet, next_hop, now, &mut acts);
+                    self.nodes[i].mac.enqueue(packet, next_hop, now, &mut acts);
                     self.apply_mac_actions(i, acts, now);
                 }
                 AodvAction::DeliverLocal { packet } => {
@@ -1740,7 +1435,7 @@ impl Simulator {
                             m.note_delivered(packet.id);
                         }
                     }
-                    self.node_mut(i).sink.deliver(&packet, now);
+                    self.nodes[i].sink.deliver(&packet, now);
                 }
                 AodvAction::Arm { dst, delay, token } => {
                     self.sched(
@@ -1753,7 +1448,7 @@ impl Simulator {
                     );
                 }
                 AodvAction::PeerReset { peer } => {
-                    self.node_mut(i).mac.reset_peer_state(peer);
+                    self.nodes[i].mac.reset_peer_state(peer);
                 }
                 AodvAction::Drop { packet, reason } => {
                     // Counted inside the agent; only the fate map cares
@@ -1912,20 +1607,14 @@ impl Simulator {
         }
     }
 
-    /// Drop owned receivers that are currently crashed from the
-    /// candidate list. Runs *before* the batched gain fill, exactly where
-    /// the scalar reference applied its inline `down` skip — so the
-    /// sparse cache sees the same lookup sequence (and mints the same
+    /// Drop receivers that are currently crashed from the candidate
+    /// list. Runs *before* the batched gain fill, exactly where the
+    /// scalar reference applied its inline `down` skip — so the sparse
+    /// cache sees the same lookup sequence (and mints the same
     /// hit/miss/flush counters) as the per-pair path did.
     fn cull_down_receivers(&mut self) {
         let Some(fs) = &self.faults else { return };
-        let shard = self.shard.as_ref();
-        let mut candidates = std::mem::take(&mut self.candidates);
-        candidates.retain(|&j| {
-            let owned = shard.is_none_or(|c| c.owner[j as usize] == c.id);
-            !(owned && fs.down[j as usize])
-        });
-        self.candidates = candidates;
+        self.candidates.retain(|&j| !fs.down[j as usize]);
     }
 
     /// Batch-evaluate the gains from node `i` to every candidate into
@@ -1960,10 +1649,9 @@ impl Simulator {
     }
 
     /// Mint the transmission key for node `i`'s next transmission:
-    /// `(node << 32) | per-node counter`. A shard executes exactly the
-    /// transmissions of the nodes it owns, in the reference order, so the
-    /// counter — and therefore the key carried by every shipped arrival —
-    /// matches the single-threaded run.
+    /// `(node << 32) | per-node counter`. Keys depend only on the node's
+    /// own transmission history, so arrival ranks (which carry the key)
+    /// stay a pure function of event content.
     #[inline]
     fn tx_key(&mut self, i: usize) -> u64 {
         let k = ((i as u64) << 32) | self.hot.tx_key_ctr[i] as u64;
@@ -1972,29 +1660,21 @@ impl Simulator {
     }
 
     /// Propagation delay over `dist` metres, floored at the configured
-    /// minimum (the floor is the conservative lookahead of a sharded run;
-    /// zero in plain single mode).
+    /// minimum ([`ScenarioConfig::delay_floor`]; zero when unset).
     #[inline]
     fn prop_delay(&self, dist: f64) -> Duration {
         Duration::from_nanos(((dist / C * 1e9).round() as u64).max(self.delay_floor_ns))
     }
 
-    /// `true` if node `j` is dispatched on this simulator: always, except
-    /// for other regions' nodes in a sharded run.
-    #[inline]
-    fn owns(&self, j: usize) -> bool {
-        self.shard.as_ref().is_none_or(|c| c.owner[j] == c.id)
-    }
-
     fn transmit_frame(&mut self, i: usize, frame: Frame, power: Milliwatts, now: SimTime) {
-        let airtime = self.node(i).mac.config().timing.frame_airtime(&frame);
+        let airtime = self.nodes[i].mac.config().timing.frame_airtime(&frame);
         let end = now + airtime;
         let down = self.node_is_down(i);
 
         let mut rad = self.rad_pool.take();
-        self.node_mut(i).radio.start_tx(end, &mut rad);
+        self.nodes[i].radio.start_tx(end, &mut rad);
         if !down {
-            self.node_mut(i)
+            self.nodes[i]
                 .energy
                 .set_mode(now, RadioMode::Transmit, power);
         }
@@ -2026,56 +1706,38 @@ impl Simulator {
         self.fill_gains(i);
         for c in 0..self.candidates.len() {
             let j = self.candidates[c] as usize;
-            let owned = self.owns(j);
             let dst_pos = self.hot.positions[j];
             let pr = power * (self.gains[c] * impair);
             if pr.value() < self.cfg.interference_floor.value() {
                 continue;
             }
             let delay = self.prop_delay(src_pos.distance(dst_pos));
-            if owned {
-                self.sched(
-                    now + delay,
-                    SimEvent::ArrivalStart {
-                        node: NodeId(j as u32),
-                        key,
-                        power: pr,
-                        end: end + delay,
-                        frame: frame.clone(),
-                    },
-                );
-                self.sched(
-                    end + delay,
-                    SimEvent::ArrivalEnd {
-                        node: NodeId(j as u32),
-                        key,
-                    },
-                );
-            } else {
-                // Another region owns the receiver: ship the ready-made
-                // arrival pair; the owner culls against its authoritative
-                // down-state at our send instant (`tx`) when it drains.
-                let tx = self.cur;
-                let ctx = self.shard.as_mut().expect("non-owned implies sharded");
-                ctx.outbox[ctx.owner[j] as usize].push(Shipment::Data {
-                    at: now + delay,
+            self.sched(
+                now + delay,
+                SimEvent::ArrivalStart {
                     node: NodeId(j as u32),
                     key,
                     power: pr,
                     end: end + delay,
                     frame: frame.clone(),
-                    tx,
-                });
-            }
+                },
+            );
+            self.sched(
+                end + delay,
+                SimEvent::ArrivalEnd {
+                    node: NodeId(j as u32),
+                    key,
+                },
+            );
         }
     }
 
     fn transmit_ctrl(&mut self, i: usize, frame: CtrlFrame, power: Milliwatts, now: SimTime) {
-        let airtime = CtrlFrame::airtime(self.node(i).mac.config().pcmac.ctrl_rate_bps);
+        let airtime = CtrlFrame::airtime(self.nodes[i].mac.config().pcmac.ctrl_rate_bps);
         let end = now + airtime;
 
         let mut rad = self.ctrl_pool.take();
-        self.node_mut(i).ctrl_radio.start_tx(end, &mut rad);
+        self.nodes[i].ctrl_radio.start_tx(end, &mut rad);
         self.ctrl_pool.put(rad);
         // The ctrl broadcast radiates too (the data radio may be mid-rx;
         // energy is attributed per-channel, transmit wins for the overlap).
@@ -2100,44 +1762,29 @@ impl Simulator {
         self.fill_gains(i);
         for c in 0..self.candidates.len() {
             let j = self.candidates[c] as usize;
-            let owned = self.owns(j);
             let dst_pos = self.hot.positions[j];
             let pr = power * (self.gains[c] * impair);
             if pr.value() < self.cfg.interference_floor.value() {
                 continue;
             }
             let delay = self.prop_delay(src_pos.distance(dst_pos));
-            if owned {
-                self.sched(
-                    now + delay,
-                    SimEvent::CtrlArrivalStart {
-                        node: NodeId(j as u32),
-                        key,
-                        power: pr,
-                        end: end + delay,
-                        frame: frame.clone(),
-                    },
-                );
-                self.sched(
-                    end + delay,
-                    SimEvent::CtrlArrivalEnd {
-                        node: NodeId(j as u32),
-                        key,
-                    },
-                );
-            } else {
-                let tx = self.cur;
-                let ctx = self.shard.as_mut().expect("non-owned implies sharded");
-                ctx.outbox[ctx.owner[j] as usize].push(Shipment::Ctrl {
-                    at: now + delay,
+            self.sched(
+                now + delay,
+                SimEvent::CtrlArrivalStart {
                     node: NodeId(j as u32),
                     key,
                     power: pr,
                     end: end + delay,
                     frame: frame.clone(),
-                    tx,
-                });
-            }
+                },
+            );
+            self.sched(
+                end + delay,
+                SimEvent::CtrlArrivalEnd {
+                    node: NodeId(j as u32),
+                    key,
+                },
+            );
         }
     }
 }
@@ -2146,60 +1793,20 @@ impl Simulator {
 // Checkpoint capture and restore (see the `snapshot` module docs)
 // ----------------------------------------------------------------------
 
-/// What one execution lane (the single-threaded simulator, or one region
-/// shard) contributes to a collective snapshot at a cut. Contributions
-/// are owned clones — merging them needs no further synchronization with
-/// the lanes that produced them.
-pub(crate) struct SnapContribution {
-    /// This lane's full pending population in `(time, rank, insertion)`
-    /// order.
-    pending: Vec<(SimTime, u128, SimEvent)>,
-    /// Raw events ever scheduled on this lane's queue.
-    scheduled_total: u64,
-    /// Probe events scheduled on this lane (every lane schedules its own
-    /// replica of the probe chain).
-    probes_scheduled: u64,
-    sent_packets: u64,
-    /// Cold-state blobs for owned nodes (`None` where the cold state
-    /// lives on another shard).
-    node_blobs: Vec<Option<Vec<u8>>>,
-    tx_key_ctr: Vec<u32>,
-    faults: Option<FaultState>,
-    metrics: Option<MetricsState>,
-    /// Mobility models advanced to the cut; primary lane only (every
-    /// lane holds the identical full replica).
-    mobility: Option<Vec<Mobility>>,
-}
-
 impl Simulator {
     /// Capture the complete deterministic state at the current instant —
     /// every event dispatched so far is reflected, every pending event is
     /// recorded. Restoring the snapshot (under this or any equivalent
-    /// execution mode) and running to the end is bit-identical to never
-    /// having stopped.
-    ///
-    /// # Panics
-    /// If called on one shard of a sharded run (shards snapshot
-    /// *collectively* at epoch boundaries; see `parallel`).
+    /// channel-index, refresh or cache mode) and running to the end is
+    /// bit-identical to never having stopped.
     pub fn snapshot(&self) -> SimSnapshot {
-        assert!(
-            self.shard.is_none(),
-            "snapshot() captures the full simulator, not one region shard"
-        );
         self.snapshot_at(self.queue.now())
     }
 
-    /// Single-lane capture at `cut` (every event strictly before `cut`
-    /// has been dispatched; callers guarantee `cut` is at most the next
-    /// pending event's time).
+    /// Capture at `cut` (every event strictly before `cut` has been
+    /// dispatched; callers guarantee `cut` is at most the next pending
+    /// event's time).
     pub(crate) fn snapshot_at(&self, cut: SimTime) -> SimSnapshot {
-        let owner = vec![0u32; self.cfg.nodes.count()];
-        let contrib = self.snap_contribution(cut);
-        Self::merge_contributions(&self.cfg, cut, &owner, vec![contrib])
-    }
-
-    /// This lane's share of a snapshot at `cut`.
-    pub(crate) fn snap_contribution(&self, cut: SimTime) -> SnapContribution {
         let pending: Vec<(SimTime, u128, SimEvent)> = self
             .queue
             .pending_in_order()
@@ -2209,123 +1816,43 @@ impl Simulator {
         // One scratch writer for every node: per-node `SnapWriter`s pay
         // allocator growth 64k times over at scale.
         let mut scratch = SnapWriter::new();
-        let node_blobs: Vec<Option<Vec<u8>>> = self
+        let nodes: Vec<Vec<u8>> = self
             .nodes
             .iter()
-            .map(|b| {
-                b.as_deref().map(|node| {
-                    scratch.clear();
-                    node.save_state(&mut scratch);
-                    scratch.payload().to_vec()
-                })
+            .map(|node| {
+                scratch.clear();
+                node.save_state(&mut scratch);
+                scratch.payload().to_vec()
             })
             .collect();
         // Advance the mobility clones exactly to the cut: waypoint
         // queries are non-decreasing and idempotent, so this is the
         // state an uninterrupted run carries at `cut` regardless of when
         // each node was last sampled.
-        let primary = self.shard.as_ref().is_none_or(|c| c.id == 0);
-        let mobility = primary.then(|| {
-            let mut m = self.hot.mobility.clone();
-            for mm in &mut m {
-                let _ = mm.position(cut);
-            }
-            m
-        });
-        SnapContribution {
-            pending,
-            scheduled_total: self.queue.scheduled_total(),
-            probes_scheduled: self.metrics.as_ref().map_or(0, |m| m.probes_scheduled),
-            sent_packets: self.sent_packets,
-            node_blobs,
-            tx_key_ctr: self.hot.tx_key_ctr.clone(),
-            faults: self.faults.clone(),
-            metrics: self.metrics.clone(),
-            mobility,
+        let mut mobility = self.hot.mobility.clone();
+        for m in &mut mobility {
+            let _ = m.position(cut);
         }
-    }
-
-    /// Fold per-lane contributions into the canonical (single-equivalent)
-    /// snapshot. `owner` maps each node to the contributing lane holding
-    /// its state (all zeros for a single-threaded capture).
-    pub(crate) fn merge_contributions(
-        cfg: &ScenarioConfig,
-        cut: SimTime,
-        owner: &[u32],
-        mut parts: Vec<SnapContribution>,
-    ) -> SimSnapshot {
-        let s = parts.len() as u64;
-        let n = owner.len();
-        let n_bursts = cfg
-            .faults
-            .as_ref()
-            .and_then(|f| f.impairments.as_ref())
-            .map_or(0, Vec::len) as u64;
-        let probes_scheduled = parts[0].probes_scheduled;
-        debug_assert!(parts.iter().all(|p| p.probes_scheduled == probes_scheduled));
-        // Canonical scheduled total: replicated machinery — the
-        // impairment edges every shard schedules, each shard's own probe
-        // chain — counted once, exactly like the merged event count.
-        let scheduled_total = parts
-            .iter()
-            .map(|p| p.scheduled_total - p.probes_scheduled)
-            .sum::<u64>()
-            - (s - 1) * 2 * n_bursts
-            + probes_scheduled;
-        let sent_packets = parts.iter().map(|p| p.sent_packets).sum();
-        // Canonical pending population: the primary lane contributes
-        // everything (it holds one replica of the impairment/probe
-        // events); other shards contribute their node-addressed events.
-        // The sort is stable, so events sharing a full `(time, rank)`
-        // key — necessarily same-node, hence same-lane — keep their
-        // queue-insertion order.
-        let mut pending = std::mem::take(&mut parts[0].pending);
-        for p in parts.iter_mut().skip(1) {
-            pending.extend(
-                p.pending
-                    .drain(..)
-                    .filter(|(_, _, e)| e.node_index().is_some()),
-            );
-        }
-        pending.sort_by_key(|&(at, rank, _)| (at, rank));
-        let mut nodes = vec![Vec::new(); n];
-        let mut tx_key_ctr = vec![0u32; n];
-        for (i, &o) in owner.iter().enumerate() {
-            let p = &mut parts[o as usize];
-            nodes[i] = p.node_blobs[i].take().expect("owner holds the node");
-            tx_key_ctr[i] = p.tx_key_ctr[i];
-        }
-        let mobility = parts[0].mobility.take().expect("primary carries mobility");
-        let fault_parts: Vec<FaultState> =
-            parts.iter_mut().filter_map(|p| p.faults.take()).collect();
-        let faults =
-            (!fault_parts.is_empty()).then(|| FaultState::merge(fault_parts, owner).capture());
-        let metric_parts: Vec<MetricsState> =
-            parts.iter_mut().filter_map(|p| p.metrics.take()).collect();
-        let metrics =
-            (!metric_parts.is_empty()).then(|| MetricsState::merge(metric_parts).capture());
         SimSnapshot {
-            cfg_digest: crate::snapshot::config_digest(cfg),
+            cfg_digest: crate::snapshot::config_digest(&self.cfg),
             time: cut,
-            scheduled_total,
-            sent_packets,
-            probes_scheduled,
+            scheduled_total: self.queue.scheduled_total(),
+            sent_packets: self.sent_packets,
+            probes_scheduled: self.metrics.as_ref().map_or(0, |m| m.probes_scheduled),
             pending,
             mobility,
-            tx_key_ctr,
+            tx_key_ctr: self.hot.tx_key_ctr.clone(),
             nodes,
-            faults,
-            metrics,
+            faults: self.faults.as_ref().map(FaultState::capture),
+            metrics: self.metrics.as_ref().map(MetricsState::capture),
         }
     }
 
     /// Bring a snapshot back to life under `cfg`. The configuration must
     /// describe the same scenario the snapshot was captured from
-    /// ([`SimSnapshot::matches`]); execution strategy, channel-index,
-    /// refresh and cache modes may differ freely — a snapshot taken
-    /// single-threaded restores into a sharded run and vice versa.
-    /// Running the result to the end is bit-identical to the
-    /// uninterrupted run.
+    /// ([`SimSnapshot::matches`]); channel-index, refresh and cache
+    /// modes may differ freely. Running the result to the end is
+    /// bit-identical to the uninterrupted run.
     pub fn restore(cfg: ScenarioConfig, snap: &SimSnapshot) -> Result<Simulator, SnapError> {
         if !snap.matches(&cfg) {
             return Err(SnapError::CfgMismatch);
@@ -2334,417 +1861,89 @@ impl Simulator {
         if snap.nodes.len() != n || snap.mobility.len() != n || snap.tx_key_ctr.len() != n {
             return Err(SnapError::Corrupt("snapshot node count"));
         }
-        if (snap.pending.len() as u64) > snap.scheduled_total {
-            return Err(SnapError::Corrupt("pending exceeds scheduled total"));
-        }
-        let sharded = matches!(cfg.execution_mode(), ExecutionMode::Sharded { .. });
+        let base = snap
+            .scheduled_total
+            .checked_sub(snap.pending.len() as u64)
+            .ok_or(SnapError::Corrupt("pending exceeds scheduled total"))?;
         let mut sim = Simulator::new(cfg);
-        if sharded {
-            // Shard builds re-initialise the donated cold state, so the
-            // overlay must happen per shard, after each shard is built;
-            // park the snapshot for `parallel::run_sharded` to apply.
-            // Validate the blobs now so worker threads cannot hit a
-            // corrupt one mid-run.
-            for (blob, node) in snap.nodes.iter().zip(sim.nodes.iter_mut()) {
-                let mut r = SnapReader::over(blob);
-                node.as_deref_mut()
-                    .expect("full build owns every node")
-                    .load_state(&mut r)?;
-                if !r.is_exhausted() {
-                    return Err(SnapError::Corrupt("node blob trailing bytes"));
-                }
-            }
-            sim.resume = Some(Arc::new(snap.clone()));
-        } else {
-            sim.apply_restore(snap)?;
-        }
-        Ok(sim)
-    }
-
-    /// Take the parked snapshot, if any (the sharded-restore handoff).
-    pub(crate) fn take_resume(&mut self) -> Option<Arc<SimSnapshot>> {
-        self.resume.take()
-    }
-
-    /// Overlay `snap` on this freshly-built simulator (single-threaded,
-    /// or one owner-only region shard). Exactly one lane — single mode,
-    /// or shard 0 — restores as primary and receives the cumulative
-    /// counters; see `FaultState::restore_from` / `MetricsState::
-    /// restore_from` for the replication roles.
-    pub(crate) fn apply_restore(&mut self, snap: &SimSnapshot) -> Result<(), SnapError> {
-        let n = self.cfg.nodes.count();
         let cut = snap.time;
-        let shard_info: Option<(Arc<Vec<u32>>, u32)> = self
-            .shard
-            .as_ref()
-            .map(|ctx| (Arc::clone(&ctx.owner), ctx.id));
-        let primary = self.shard.as_ref().is_none_or(|c| c.id == 0);
 
         // The event queue: restart the sequence counter at the cut and
-        // re-schedule this lane's slice of the canonical pending set in
-        // canonical order, so insertion sequence numbers break same-key
-        // ties exactly as they did in the original run.
-        let pending_bursts = snap
-            .pending
-            .iter()
-            .filter(|(_, _, e)| {
-                matches!(
-                    e,
-                    SimEvent::ImpairmentStart { .. } | SimEvent::ImpairmentEnd { .. }
-                )
-            })
-            .count() as u64;
-        let pending_probes = snap
-            .pending
-            .iter()
-            .filter(|(_, _, e)| matches!(e, SimEvent::MetricsProbe))
-            .count() as u64;
-        let n_bursts = self
-            .cfg
-            .faults
-            .as_ref()
-            .and_then(|f| f.impairments.as_ref())
-            .map_or(0, Vec::len) as u64;
-        let base = if primary {
-            // The canonical total already counts this lane's replicated
-            // events exactly once.
-            snap.scheduled_total
-                .checked_sub(snap.pending.len() as u64)
-                .ok_or(SnapError::Corrupt("pending exceeds scheduled total"))?
-        } else {
-            // A foreign shard's scheduled total counts only the
-            // replicated machinery it scheduled at build — both edges of
-            // every impairment burst and its own probe-chain replica —
-            // minus whatever is still pending (and re-scheduled below).
-            (2 * n_bursts)
-                .checked_sub(pending_bursts)
-                .and_then(|b| {
-                    snap.probes_scheduled
-                        .checked_sub(pending_probes)
-                        .map(|p| b + p)
-                })
-                .ok_or(SnapError::Corrupt("replicated pending exceeds schedule"))?
-        };
-        self.queue = pcmac_engine::EventQueue::restored(cut, base);
+        // re-schedule the pending set in canonical order, so insertion
+        // sequence numbers break same-key ties exactly as they did in
+        // the original run.
+        sim.queue = pcmac_engine::EventQueue::restored(cut, base);
         for (at, rank, ev) in &snap.pending {
-            let mine = match ev.node_index() {
-                Some(j) => shard_info
-                    .as_ref()
-                    .is_none_or(|(owner, id)| owner[j] == *id),
-                None => true, // replicated events live on every lane
-            };
-            if mine {
-                self.queue.schedule_ranked(*at, *rank, ev.clone());
-            }
+            sim.queue.schedule_ranked(*at, *rank, ev.clone());
         }
 
-        // Cold per-node state, owned nodes only.
-        for (blob, node) in snap.nodes.iter().zip(self.nodes.iter_mut()) {
-            if let Some(node) = node.as_deref_mut() {
-                let mut r = SnapReader::over(blob);
-                node.load_state(&mut r)?;
-                if !r.is_exhausted() {
-                    return Err(SnapError::Corrupt("node blob trailing bytes"));
-                }
+        // Cold per-node state.
+        for (blob, node) in snap.nodes.iter().zip(sim.nodes.iter_mut()) {
+            let mut r = SnapReader::over(blob);
+            node.load_state(&mut r)?;
+            if !r.is_exhausted() {
+                return Err(SnapError::Corrupt("node blob trailing bytes"));
             }
         }
 
         // Hot state: mobility models arrive advanced exactly to the cut,
         // so sampling them at the cut is exact and free of history.
-        self.hot.mobility = snap.mobility.clone();
-        self.hot.tx_key_ctr = snap.tx_key_ctr.clone();
-        if self.any_mobile {
+        sim.hot.mobility = snap.mobility.clone();
+        sim.hot.tx_key_ctr = snap.tx_key_ctr.clone();
+        if sim.any_mobile {
             for i in 0..n {
-                let p = self.hot.mobility[i].position(cut);
-                self.hot.positions[i] = p;
-                if self.use_grid {
-                    self.grid.update(i as u32, p);
-                    if let GainCacheState::Sparse(c) = &mut self.gain_cache {
-                        c.note_move(i as u32, self.grid.node_cell(i as u32));
+                let p = sim.hot.mobility[i].position(cut);
+                sim.hot.positions[i] = p;
+                if sim.use_grid {
+                    sim.grid.update(i as u32, p);
+                    if let GainCacheState::Sparse(c) = &mut sim.gain_cache {
+                        c.note_move(i as u32, sim.grid.node_cell(i as u32));
                     }
                 }
             }
-            self.positions_at = Some(cut);
+            sim.positions_at = Some(cut);
         }
-        if self.lazy_refresh {
+        if sim.lazy_refresh {
             // One live deadline chain per node, re-seeded from the cut
             // (positions are exact there, like at t = 0 for a fresh
             // build).
-            self.refresh_heap.clear();
+            sim.refresh_heap.clear();
             for i in 0..n {
-                self.hot.sampled_at[i] = cut;
-                let d = self.hot.mobility[i].stale_after(cut, self.pad_m);
-                self.hot.deadline[i] = d;
+                sim.hot.sampled_at[i] = cut;
+                let d = sim.hot.mobility[i].stale_after(cut, sim.pad_m);
+                sim.hot.deadline[i] = d;
                 if d != SimTime::MAX {
-                    self.refresh_heap.push(Reverse((d, i as u32)));
+                    sim.refresh_heap.push(Reverse((d, i as u32)));
                 }
             }
         }
-        self.sent_packets = if primary { snap.sent_packets } else { 0 };
-        self.cur = (cut, 0);
+        sim.sent_packets = snap.sent_packets;
+        sim.cur = (cut, 0);
 
         // The fault layer.
-        match (self.faults.as_mut(), snap.faults.as_ref()) {
+        match (sim.faults.as_mut(), snap.faults.as_ref()) {
             (Some(fs), Some(fsnap)) => {
-                let shard = self
-                    .shard
-                    .as_ref()
-                    .map(|ctx| (ctx.owner.as_slice(), ctx.id));
-                fs.restore_from(fsnap, primary, shard)
-                    .map_err(SnapError::Corrupt)?;
+                fs.restore_from(fsnap).map_err(SnapError::Corrupt)?;
+                for (alive, &d) in sim.hot.alive.iter_mut().zip(fsnap.down()) {
+                    *alive = !d;
+                }
             }
             (None, None) => {}
             _ => return Err(SnapError::Corrupt("fault section presence")),
         }
-        if let Some(fsnap) = snap.faults.as_ref() {
-            let down = fsnap.down();
-            for (alive, &d) in self.hot.alive.iter_mut().zip(down.iter()).take(n) {
-                *alive = !d;
-            }
-            // Seed the shard transition logs: a node down at the cut
-            // must cull in-window arrivals from transmissions after it,
-            // exactly as the flip event recorded pre-cut would have.
-            if let Some(ctx) = &mut self.shard {
-                let seed = SimTime::from_nanos(cut.as_nanos().saturating_sub(1));
-                for (i, t) in ctx.transitions.iter_mut().enumerate() {
-                    if down[i] && ctx.owner[i] == ctx.id {
-                        t.push((seed, u128::MAX, true));
-                    }
-                }
-            }
-        }
 
         // The metrics layer.
-        match (self.metrics.as_mut(), snap.metrics.as_ref()) {
-            (Some(ms), Some(msnap)) => {
-                ms.restore_from(msnap, primary)
-                    .map_err(SnapError::Corrupt)?;
-            }
+        match (sim.metrics.as_mut(), snap.metrics.as_ref()) {
+            (Some(ms), Some(msnap)) => ms.restore_from(msnap).map_err(SnapError::Corrupt)?,
             (None, None) => {}
             _ => return Err(SnapError::Corrupt("metrics section presence")),
         }
 
         // Re-derive the hot mirrors from the restored cold state.
         for i in 0..n {
-            self.sync_hot(i);
+            sim.sync_hot(i);
         }
-        Ok(())
-    }
-}
-
-// ----------------------------------------------------------------------
-// Region-shard support (crate-internal; orchestrated by `parallel`)
-// ----------------------------------------------------------------------
-
-impl Simulator {
-    /// The scenario this simulator was built from.
-    pub(crate) fn cfg(&self) -> &ScenarioConfig {
-        &self.cfg
-    }
-
-    /// The spatial index's cell size — region boundaries snap to grid
-    /// columns so a cell (and the candidate rings around it) never
-    /// straddles more than two regions.
-    pub(crate) fn shard_cell_size(&self) -> f64 {
-        self.grid.cell_size()
-    }
-
-    /// Initial x-coordinates (positions are exact at t = 0), the input
-    /// to the column partition.
-    pub(crate) fn start_xs(&self) -> Vec<f64> {
-        self.hot.positions.iter().map(|p| p.x).collect()
-    }
-
-    /// Next event time in nanoseconds for the window negotiation:
-    /// `u64::MAX` when the queue is drained past `end`.
-    pub(crate) fn shard_peek_ns(&self, end: SimTime) -> u64 {
-        match self.queue.peek_time() {
-            Some(t) if t <= end => t.as_nanos(),
-            _ => u64::MAX,
-        }
-    }
-
-    /// The conservative lookahead (ns) a region run may use: at least
-    /// the configured delay floor, and — for static scenarios — one less
-    /// than the propagation time across the narrowest gap between
-    /// adjacent ownership bands, since the earliest cross-shard effect
-    /// of any event is an arrival that must cross that gap. Mobile
-    /// scenarios fall back to the floor (bands do not confine moving
-    /// positions); a single populated band has no cross-shard traffic at
-    /// all, so the whole run is one window.
-    pub(crate) fn derived_lookahead_ns(&self, owner: &[u32], shards: usize) -> u64 {
-        let floor = self.delay_floor_ns;
-        if self.any_mobile {
-            return floor;
-        }
-        let mut min_x = vec![f64::INFINITY; shards];
-        let mut max_x = vec![f64::NEG_INFINITY; shards];
-        for (i, p) in self.hot.positions.iter().enumerate() {
-            let s = owner[i] as usize;
-            min_x[s] = min_x[s].min(p.x);
-            max_x[s] = max_x[s].max(p.x);
-        }
-        let mut gap = f64::INFINITY;
-        let mut prev: Option<usize> = None;
-        for (k, (&lo, &hi)) in min_x.iter().zip(&max_x).enumerate() {
-            if lo > hi {
-                continue; // empty band
-            }
-            if let Some(p) = prev {
-                gap = gap.min(lo - max_x[p]);
-            }
-            prev = Some(k);
-        }
-        if gap == f64::INFINITY {
-            // One populated band: nothing ever crosses a boundary.
-            return self.cfg.duration.as_nanos().max(floor);
-        }
-        if gap <= 0.0 {
-            return floor;
-        }
-        // An arrival crossing `gap` metres is delayed at least
-        // `floor(gap_ns)` ns (the scheduler rounds), so any lookahead at
-        // or under `gap_ns - 1` can never miss a cross-shard effect.
-        let gap_ns = (gap / C * 1e9).floor() as u64;
-        gap_ns.saturating_sub(1).max(floor)
-    }
-
-    /// Dispatch every local event strictly before `horizon_ns` (and not
-    /// past `end`). Cross-region arrivals pile up in the outboxes; when
-    /// `trace` is given, dispatched events are buffered under their
-    /// global `(time, rank)` for the post-run observer replay (shard 0
-    /// records the replicated impairment/probe events for everyone).
-    pub(crate) fn run_window(
-        &mut self,
-        horizon_ns: u64,
-        end: SimTime,
-        mut trace: Option<&mut Vec<(SimTime, u128, SimEvent)>>,
-    ) {
-        while let Some(t) = self.queue.peek_time() {
-            if t > end || t.as_nanos() >= horizon_ns {
-                break;
-            }
-            let ev = self.queue.pop().expect("peeked");
-            self.cur = (ev.at, ev.rank);
-            if let Some(buf) = trace.as_deref_mut() {
-                let replicated = matches!(
-                    ev.event,
-                    SimEvent::ImpairmentStart { .. }
-                        | SimEvent::ImpairmentEnd { .. }
-                        | SimEvent::MetricsProbe
-                );
-                if !replicated || self.shard.as_ref().is_some_and(|c| c.id == 0) {
-                    buf.push((ev.at, ev.rank, ev.event.clone()));
-                }
-            }
-            self.dispatch(ev.event, ev.at);
-        }
-    }
-
-    /// Take the window's outgoing shipments (one bucket per shard).
-    pub(crate) fn take_outboxes(&mut self) -> Vec<Vec<Shipment>> {
-        let ctx = self.shard.as_mut().expect("sharded");
-        ctx.outbox.iter_mut().map(std::mem::take).collect()
-    }
-
-    /// Was owned node `j` down at the instant of the event keyed `tx`?
-    /// Replays the transition log: the last flip strictly before `tx`
-    /// decides (a flip can never share a full `(time, rank)` key with
-    /// another shard's transmission — ranks pin events to nodes).
-    fn down_at(&self, j: usize, tx: (SimTime, u128)) -> bool {
-        if self.faults.is_none() {
-            return false;
-        }
-        let Some(ctx) = &self.shard else { return false };
-        ctx.transitions[j]
-            .iter()
-            .rev()
-            .find(|&&(t, r, _)| (t, r) < tx)
-            .is_some_and(|&(_, _, down)| down)
-    }
-
-    /// Drain one window's incoming shipments (already ordered: callers
-    /// pass the per-sender batches in fixed shard order). Each shipment
-    /// is culled against the receiver's authoritative down-state at the
-    /// sender's transmit instant — the exact test the single-threaded
-    /// sender loop applies inline — then scheduled under its content
-    /// rank, landing in the identical queue position.
-    pub(crate) fn accept_shipments(&mut self, batches: Vec<Vec<Shipment>>) {
-        for batch in batches {
-            for s in batch {
-                match s {
-                    Shipment::Data {
-                        at,
-                        node,
-                        key,
-                        power,
-                        end,
-                        frame,
-                        tx,
-                    } => {
-                        if self.down_at(node.index(), tx) {
-                            continue;
-                        }
-                        self.sched(
-                            at,
-                            SimEvent::ArrivalStart {
-                                node,
-                                key,
-                                power,
-                                end,
-                                frame,
-                            },
-                        );
-                        self.sched(end, SimEvent::ArrivalEnd { node, key });
-                    }
-                    Shipment::Ctrl {
-                        at,
-                        node,
-                        key,
-                        power,
-                        end,
-                        frame,
-                        tx,
-                    } => {
-                        if self.down_at(node.index(), tx) {
-                            continue;
-                        }
-                        self.sched(
-                            at,
-                            SimEvent::CtrlArrivalStart {
-                                node,
-                                key,
-                                power,
-                                end,
-                                frame,
-                            },
-                        );
-                        self.sched(end, SimEvent::CtrlArrivalEnd { node, key });
-                    }
-                }
-            }
-        }
-    }
-
-    /// Finalize this shard after its queue drains: close the energy
-    /// ledgers and surrender the pieces the merge needs.
-    pub(crate) fn into_shard_parts(mut self, end: SimTime) -> ShardParts {
-        for node in self.nodes.iter_mut().flatten() {
-            node.energy.finish(end);
-        }
-        let cache_stats = match &self.gain_cache {
-            GainCacheState::Sparse(c) => Some(c.stats()),
-            _ => None,
-        };
-        let probes = self.metrics.as_ref().map_or(0, |m| m.probes_scheduled);
-        ShardParts {
-            nodes: self.nodes,
-            sent_packets: self.sent_packets,
-            events: self.queue.scheduled_total() - probes,
-            faults: self.faults,
-            metrics: self.metrics,
-            cache_stats,
-        }
+        Ok(sim)
     }
 }
 
@@ -2762,37 +1961,4 @@ fn cull_radius(model: &PropagationModel, power: Milliwatts, floor: Milliwatts) -
         return f64::INFINITY;
     }
     model.max_range_for(power, floor) * RADIUS_SLACK
-}
-
-/// Which nodes shard `id` keeps hot state (and grid membership) for:
-/// owned nodes plus every node within `halo_reach` metres (in x) of the
-/// owned span — the farthest any owned transmission can matter, so grid
-/// queries from owned transmitters return exactly the full-grid
-/// candidate set. Mobile scenarios and unbounded reach track everything
-/// (no static halo is sound when positions drift across bands); the
-/// cold `Node` state stays owner-only either way, which is the dominant
-/// memory term.
-fn compute_tracked(
-    owner: &[u32],
-    id: u32,
-    positions: &[Point],
-    any_mobile: bool,
-    halo_reach: f64,
-) -> Vec<bool> {
-    if any_mobile || !halo_reach.is_finite() {
-        return vec![true; positions.len()];
-    }
-    let mut min_x = f64::INFINITY;
-    let mut max_x = f64::NEG_INFINITY;
-    for (i, p) in positions.iter().enumerate() {
-        if owner[i] == id {
-            min_x = min_x.min(p.x);
-            max_x = max_x.max(p.x);
-        }
-    }
-    owner
-        .iter()
-        .zip(positions)
-        .map(|(&o, p)| o == id || (p.x >= min_x - halo_reach && p.x <= max_x + halo_reach))
-        .collect()
 }

@@ -8,22 +8,18 @@
 //! their RNG streams, and the fault/metrics layers. The hard guarantee
 //! — proven by the `channel_equivalence` matrix — is that restoring a
 //! snapshot and running to the end produces a report **bit-identical**
-//! to the uninterrupted run, in both single-threaded and region-sharded
-//! execution.
+//! to the uninterrupted run.
 //!
 //! # Cut semantics
 //!
-//! A cut is a *globally consistent instant* `g`: every event strictly
-//! before `g` has been dispatched and every event at or after `g` is
-//! still pending. Single-threaded runs cut whenever the next event's
-//! time reaches a checkpoint grid point; sharded runs cut at an epoch
-//! top — after a barrier, when every shard has dispatched its window
-//! and accepted all cross-region shipments — with the window horizon
-//! clamped to the next grid point so the same grid instants are
-//! reachable cuts in every execution mode. Both constructions leave the
-//! run in the exact state a single-threaded replay would have at `g`,
-//! which is why a snapshot taken under one shard count restores under
-//! any other.
+//! A cut is a *consistent instant* `g`: every event strictly before `g`
+//! has been dispatched and every event at or after `g` is still
+//! pending. A run cuts whenever the next event's time reaches a
+//! checkpoint grid point. Grid points are absolute multiples of the
+//! interval, so a resumed run cuts at the same instants as an
+//! uninterrupted one, and same-instant events keep their order across
+//! a restore because their ranks are derived from event content (see
+//! `SimEvent::rank`), not from scheduling history.
 //!
 //! # Wire format
 //!
@@ -83,8 +79,7 @@ pub struct RunHooks<'a> {
     pub cancel: Option<&'a CancelToken>,
     /// Take a periodic checkpoint every this much *simulated* time.
     pub checkpoint_every: Option<Duration>,
-    /// Receives every periodic checkpoint (called on the driving thread
-    /// in single mode, on shard 0's worker thread in sharded mode).
+    /// Receives every periodic checkpoint (called on the driving thread).
     pub checkpoint_sink: Option<&'a (dyn Fn(SimSnapshot) + Sync)>,
 }
 
@@ -131,15 +126,12 @@ pub struct SimSnapshot {
     pub(crate) cfg_digest: u64,
     /// The cut instant.
     pub(crate) time: SimTime,
-    /// Canonical (single-equivalent) count of events ever scheduled by
-    /// the cut: replicated events — impairment edges, the probe chain —
-    /// counted once.
+    /// Count of events ever scheduled by the cut.
     pub(crate) scheduled_total: u64,
     /// Application packets emitted by the cut.
     pub(crate) sent_packets: u64,
     /// `MetricsProbe` events scheduled by the cut (0 when metrics are
-    /// off) — every restored lane carries this so post-cut probe
-    /// accounting continues identically.
+    /// off), so post-cut probe accounting continues identically.
     pub(crate) probes_scheduled: u64,
     /// The pending event population in canonical `(time, rank,
     /// insertion)` order.
@@ -164,9 +156,9 @@ impl SimSnapshot {
     }
 
     /// Does this snapshot belong to `cfg` (same behavior-relevant
-    /// configuration)? Execution strategy, channel index, refresh and
-    /// cache modes are excluded — they do not change behavior, so a
-    /// snapshot moves freely across them.
+    /// configuration)? Channel index, refresh and cache modes are
+    /// excluded — they do not change behavior, so a snapshot moves
+    /// freely across them.
     pub fn matches(&self, cfg: &ScenarioConfig) -> bool {
         self.cfg_digest == config_digest(cfg)
     }
@@ -211,9 +203,9 @@ impl SimSnapshot {
     }
 
     /// A digest of the *behavioral* state: everything except the
-    /// metrics section (whose diagnostic counters — hot-path work
-    /// counts, per-shard probe tallies — legitimately differ across
-    /// execution strategies). Two runs of the same scenario are at the
+    /// metrics section (whose diagnostic hot-path work counts
+    /// legitimately differ across channel-index, refresh and cache
+    /// modes). Two runs of the same scenario are at the
     /// same behavioral state at a cut iff these match; the divergence
     /// bisector binary-searches over this. The config digest is
     /// excluded — it identifies the *scenario*, not the state — so two
@@ -249,9 +241,9 @@ impl SimSnapshot {
 /// Digest of the behavior-relevant scenario configuration: the master
 /// seed, duration, field, nodes, flows, radio/MAC/AODV parameters,
 /// variant, interference floor, shadowing, fault plan, metrics config
-/// and delay floor. Execution strategy, channel index, mobility-refresh
-/// and gain-cache modes and the display name are normalized away —
-/// proven behavior-invariant by the equivalence matrix — so a snapshot
+/// and delay floor. Channel index, mobility-refresh and gain-cache
+/// modes and the display name are normalized away — proven
+/// behavior-invariant by the equivalence matrix — so a snapshot
 /// restores across any of them. The digest hashes the canonical JSON
 /// encoding, which is identical on every host.
 pub(crate) fn config_digest(cfg: &ScenarioConfig) -> u64 {
@@ -260,15 +252,25 @@ pub(crate) fn config_digest(cfg: &ScenarioConfig) -> u64 {
     c.channel_index = Default::default();
     c.mobility_refresh = None;
     c.gain_cache = None;
-    c.execution = None;
-    let json = serde_json::to_string(&c).expect("scenario config serializes");
+    let mut v = serde::Serialize::to_value(&c);
+    // Configs once carried an always-normalized `"execution": null`
+    // entry just before `delay_floor_us`; hashing it keeps every digest,
+    // and so every existing checkpoint file, valid.
+    if let serde_json::Value::Map(entries) = &mut v {
+        let at = entries
+            .iter()
+            .position(|(k, _)| k == "delay_floor_us")
+            .unwrap_or(entries.len());
+        entries.insert(at, ("execution".into(), serde_json::Value::Null));
+    }
+    let json = serde_json::to_string(&v).expect("scenario config serializes");
     fnv1a64(json.as_bytes())
 }
 
 /// The first checkpoint grid instant strictly after `after`: grid points
 /// are absolute multiples of the interval, so a resumed run and an
-/// uninterrupted one — and every execution mode — checkpoint at
-/// identical simulated instants no matter where they started.
+/// uninterrupted one checkpoint at identical simulated instants no
+/// matter where they started.
 pub(crate) fn next_grid_point(after: SimTime, every_ns: u64) -> SimTime {
     let e = every_ns.max(1);
     SimTime::from_nanos((after.as_nanos() / e + 1).saturating_mul(e))
@@ -288,6 +290,18 @@ mod tests {
         assert_eq!(g(e), 2 * e); // strictly after
         assert_eq!(g(e + 1), 2 * e);
         assert_eq!(next_grid_point(SimTime::from_nanos(5), 0).as_nanos(), 6);
+    }
+
+    #[test]
+    fn config_digests_match_existing_checkpoints() {
+        // Digests of these configs as checkpoint files written before the
+        // execution-strategy field was removed record them.
+        use crate::{MetricsConfig, ScenarioConfig, Variant};
+        let mut c = ScenarioConfig::paper(Variant::Pcmac, 500.0, 1);
+        assert_eq!(config_digest(&c), 0x3d3b_6ad6_af4e_af6c);
+        c.delay_floor_us = Some(10.0);
+        c.metrics = Some(MetricsConfig::default());
+        assert_eq!(config_digest(&c), 0xc455_b89a_71cc_097a);
     }
 
     #[test]

@@ -6,9 +6,7 @@
 //! candidate-filter → gain-lookup path and the metrics probe walked
 //! pointer-rich structs for a handful of scalars each. [`HotState`]
 //! splits exactly those fields into parallel arrays indexed by node id:
-//! the hot path reads contiguous memory, and a region shard can keep
-//! the arrays while dropping the cold `Node` boxes of every node it
-//! does not own.
+//! the hot path reads contiguous memory.
 //!
 //! The `busy`/`queue_len`/`alive` entries are *mirrors* of the
 //! authoritative cold state, synced by the dispatcher after every
@@ -23,18 +21,13 @@ use pcmac_engine::{Point, SimTime};
 use pcmac_mobility::Mobility;
 
 /// The per-node parallel arrays the dispatch loop touches. All vectors
-/// have length N (the full scenario); in a region shard, entries are
-/// only *maintained* for tracked nodes (owned + halo) — see
-/// `Simulator::prepare_shard`.
+/// have length N.
 #[derive(Debug)]
 pub(crate) struct HotState {
     /// Current (possibly index-stale, see lazy refresh) position.
     pub(crate) positions: Vec<Point>,
     /// Movement model per node (authoritative; moved out of `Node`).
     pub(crate) mobility: Vec<Mobility>,
-    /// `true` when this shard keeps the node's hot state fresh: owned
-    /// nodes plus the boundary halo. Always all-true in single mode.
-    pub(crate) tracked: Vec<bool>,
     /// Mirror of `!faults.down[i]` (all-true without a fault plan).
     pub(crate) alive: Vec<bool>,
     /// Mirror of `radio.carrier_busy()`.

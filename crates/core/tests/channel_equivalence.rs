@@ -13,9 +13,9 @@
 //! shadowing.
 
 use pcmac::{
-    ChannelIndexMode, ChurnConfig, CrashWindow, ExecutionMode, FaultConfig, FlowShape, FlowSpec,
-    GainCacheMode, ImpairmentBurst, MetricsConfig, MobilityRefreshMode, NodeSetup, RunReport,
-    ScenarioConfig, ShadowingConfig, Simulator, Variant,
+    ChannelIndexMode, ChurnConfig, CrashWindow, FaultConfig, FlowShape, FlowSpec, GainCacheMode,
+    ImpairmentBurst, MetricsConfig, MobilityRefreshMode, NodeSetup, RunReport, ScenarioConfig,
+    ShadowingConfig, Simulator, Variant,
 };
 use pcmac_engine::{Duration, FlowId, Milliwatts, NodeId, Point, RngStream, SimTime};
 use proptest::prelude::*;
@@ -558,166 +558,15 @@ fn metrics_are_deterministic_across_reruns_and_modes() {
     }
 }
 
-/// Pin the execution strategy. Both sides of a sharded-vs-single
-/// comparison must carry the *same* delay floor — the floor is part of
-/// the channel model (it quantizes short-range propagation delays), so
-/// only runs sharing it are comparable. 10 µs stays well below the
-/// 20 µs slot time; a floor at the slot or beyond would eat the CTS/ACK
-/// timeouts' round-trip grace and silently zero out all traffic (which
-/// `validate()` now rejects).
-fn with_execution(mut cfg: ScenarioConfig, shards: Option<usize>) -> ScenarioConfig {
+/// Pin the propagation-delay floor. The floor is part of the channel
+/// model (it quantizes short-range propagation delays), so only runs
+/// sharing it are comparable. 10 µs stays well below the 20 µs slot
+/// time; a floor at the slot or beyond would eat the CTS/ACK timeouts'
+/// round-trip grace and silently zero out all traffic (which
+/// `validate()` rejects).
+fn with_floor(mut cfg: ScenarioConfig) -> ScenarioConfig {
     cfg.delay_floor_us = Some(10.0);
-    cfg.execution = shards.map(|shards| ExecutionMode::Sharded { shards });
     cfg
-}
-
-/// The PR 8 acceptance bar: the region-sharded engine reproduces the
-/// single-threaded reference bit for bit at every shard count — static
-/// and mobile, across variants — including the degenerate one-shard run
-/// that still exercises the full windowing machinery.
-#[test]
-fn sharded_matches_single_across_shard_counts() {
-    // Seeds chosen so both topologies actually deliver traffic — many
-    // random 18-node scatters on a 1500 m field are partitioned, and a
-    // zero-delivery scenario would make bit-identity a weak claim.
-    for (seed, mobile) in [(10u64, false), (18, true)] {
-        let cfg = random_scenario(
-            Variant::ALL[seed as usize % 4],
-            seed,
-            18,
-            1500.0,
-            Milliwatts(1.559e-10),
-            mobile,
-            None,
-        );
-        let single = Simulator::new(with_execution(cfg.clone(), None)).run();
-        assert!(single.events > 0, "degenerate run is a vacuous comparison");
-        assert!(
-            single.delivered_packets > 0,
-            "traffic must actually flow under the delay floor — a zero-delivery \
-             scenario would make bit-identity a vacuous claim (seed {seed})"
-        );
-        for shards in [1usize, 2, 4, 8] {
-            let sharded = Simulator::new(with_execution(cfg.clone(), Some(shards))).run();
-            assert_eq!(sharded.events, single.events, "event-count parity");
-            assert_eq!(
-                fingerprint(&sharded),
-                fingerprint(&single),
-                "sharded run diverged (seed {seed} mobile {mobile} shards {shards})"
-            );
-        }
-    }
-}
-
-/// Sharding composed with the whole rest of the execution-strategy
-/// space: refresh × cache under a dense fault plan (crashes, churn,
-/// impairments, energy deaths). Every combination must reproduce the
-/// single-threaded run with the same modes.
-#[test]
-fn sharded_matches_single_with_faults_across_refresh_and_cache() {
-    for seed in [3u64, 23] {
-        let n = 16;
-        let mut cfg = random_scenario(
-            Variant::ALL[seed as usize % 4],
-            seed,
-            n,
-            1500.0,
-            Milliwatts(1.559e-10),
-            true,
-            None,
-        );
-        cfg.faults = Some(fault_plan(n));
-        for refresh in [MobilityRefreshMode::Lazy, MobilityRefreshMode::Eager] {
-            for cache in [GainCacheMode::Sparse, GainCacheMode::Off] {
-                let moded = with_modes(cfg.clone(), refresh, cache);
-                let single = Simulator::new(with_execution(moded.clone(), None)).run();
-                let res = single
-                    .resilience
-                    .as_ref()
-                    .expect("fault plan => resilience");
-                assert!(res.crashes >= 2, "the plan must actually crash nodes");
-                for shards in [2usize, 8] {
-                    let sharded = Simulator::new(with_execution(moded.clone(), Some(shards))).run();
-                    assert_eq!(
-                        fingerprint(&sharded),
-                        fingerprint(&single),
-                        "faulted sharded run diverged (seed {seed} refresh {refresh:?} \
-                         cache {cache:?} shards {shards})"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// The merged metrics section (drop taxonomy, probes, per-layer
-/// counters) must equal the single-threaded one — hot-path profile
-/// aside, which by design counts what each shard's machinery did.
-#[test]
-fn sharded_metrics_match_single_mode_invariant() {
-    let mut cfg = random_scenario(
-        Variant::Pcmac,
-        57,
-        14,
-        1400.0,
-        Milliwatts(1.559e-10),
-        true,
-        None,
-    );
-    cfg.faults = Some(fault_plan(14));
-    cfg.metrics = Some(MetricsConfig {
-        probe_interval_s: 0.25,
-    });
-    let single = Simulator::new(with_execution(cfg.clone(), None)).run();
-    let m = single.metrics.as_ref().expect("metrics layer on");
-    assert!(!m.samples.is_empty(), "0.25 s probes inside a 2 s run");
-    for shards in [2usize, 4] {
-        let sharded = Simulator::new(with_execution(cfg.clone(), Some(shards))).run();
-        let sm = sharded.metrics.as_ref().expect("metrics layer on");
-        assert!(
-            sm.drops.conserved(),
-            "merged taxonomy leaks (shards {shards})"
-        );
-        assert_eq!(
-            mode_invariant_fingerprint(&sharded),
-            mode_invariant_fingerprint(&single),
-            "merged metrics diverged (shards {shards})"
-        );
-    }
-}
-
-/// Sharded determinism under thread oversubscription: with more worker
-/// threads than cores the barrier schedule is maximally perturbed, yet
-/// same-seed reruns must stay bit-identical (and equal to the
-/// single-threaded reference) — no wall-clock, no scheduling order, no
-/// contention effect may leak into the report.
-#[test]
-fn oversubscribed_sharded_reruns_are_bit_identical() {
-    let cores = std::thread::available_parallelism().map_or(4, |n| n.get());
-    let shards = 2 * cores;
-    let mut cfg = random_scenario(
-        Variant::Pcmac,
-        57,
-        14,
-        1400.0,
-        Milliwatts(1.559e-10),
-        true,
-        None,
-    );
-    cfg.faults = Some(fault_plan(14));
-    let single = Simulator::new(with_execution(cfg.clone(), None)).run();
-    let a = Simulator::new(with_execution(cfg.clone(), Some(shards))).run();
-    let b = Simulator::new(with_execution(cfg, Some(shards))).run();
-    assert_eq!(
-        fingerprint(&a),
-        fingerprint(&b),
-        "rerun differed ({shards} shards)"
-    );
-    assert_eq!(
-        fingerprint(&a),
-        fingerprint(&single),
-        "sharded differed from single"
-    );
 }
 
 proptest! {
@@ -809,7 +658,7 @@ proptest! {
 }
 
 // ----------------------------------------------------------------------
-// Checkpoint / restore (PR 10)
+// Checkpoint / restore
 // ----------------------------------------------------------------------
 
 use pcmac::{RunHooks, RunOutcome, SimSnapshot};
@@ -852,18 +701,17 @@ fn snapshot_scenario(seed: u64, n: usize) -> ScenarioConfig {
     cfg
 }
 
-/// The PR 10 acceptance bar: snapshot at a fuzzed mid-run grid time
-/// under every refresh × cache × shard-count combination (faulted,
-/// metrics-on, mobile), restore in-process, run to the end — the result
-/// must be bit-identical (mode-invariant observables) to the
-/// uninterrupted reference. The capture run itself must also be
+/// Snapshot at a fuzzed mid-run grid time under every refresh × cache
+/// combination (faulted, metrics-on, mobile), restore in-process, run
+/// to the end — the result must be bit-identical (mode-invariant
+/// observables) to the uninterrupted reference. The capture run itself must also be
 /// unperturbed by checkpointing, and every checkpoint must survive a
 /// serialization round trip unchanged.
 #[test]
 fn checkpoint_restore_is_bit_identical_across_matrix() {
     for seed in [5u64, 29] {
         let cfg = snapshot_scenario(seed, 16);
-        let reference = Simulator::new(with_execution(cfg.clone(), None)).run();
+        let reference = Simulator::new(with_floor(cfg.clone())).run();
         assert!(
             reference.events > 0,
             "degenerate run is a vacuous comparison"
@@ -876,145 +724,88 @@ fn checkpoint_restore_is_bit_identical_across_matrix() {
             (MobilityRefreshMode::Lazy, GainCacheMode::Sparse),
             (MobilityRefreshMode::Eager, GainCacheMode::Off),
         ] {
-            for shards in [None, Some(1), Some(2), Some(4)] {
-                let moded = with_execution(with_modes(cfg.clone(), refresh, cache), shards);
-                let (hooked, snaps) = run_with_checkpoints(moded.clone(), every);
+            let moded = with_floor(with_modes(cfg.clone(), refresh, cache));
+            let (hooked, snaps) = run_with_checkpoints(moded.clone(), every);
+            assert_eq!(
+                mode_invariant_fingerprint(&hooked),
+                ref_fp,
+                "checkpointing perturbed the run (seed {seed})"
+            );
+            assert!(
+                snaps.len() >= 4,
+                "a 2 s run on a {every:?} grid must checkpoint repeatedly"
+            );
+            for s in &snaps {
                 assert_eq!(
-                    mode_invariant_fingerprint(&hooked),
-                    ref_fp,
-                    "checkpointing perturbed the run (seed {seed} shards {shards:?})"
-                );
-                assert!(
-                    snaps.len() >= 4,
-                    "a 2 s run on a {every:?} grid must checkpoint repeatedly"
-                );
-                for s in &snaps {
-                    assert_eq!(
-                        s.time().as_nanos() % every.as_nanos(),
-                        0,
-                        "checkpoints land on the absolute grid"
-                    );
-                }
-                let snap = &snaps[snaps.len() / 2];
-                let bytes = snap.to_bytes();
-                let back = SimSnapshot::from_bytes(&bytes).expect("round trip");
-                assert_eq!(
-                    back.state_fingerprint(),
-                    snap.state_fingerprint(),
-                    "serialization round trip changed behavioral state"
-                );
-                let resumed = Simulator::restore(moded.clone(), &back)
-                    .expect("snapshot matches its own scenario")
-                    .run();
-                assert_eq!(
-                    mode_invariant_fingerprint(&resumed),
-                    ref_fp,
-                    "restore-then-run diverged (seed {seed} refresh {refresh:?} \
-                     cache {cache:?} shards {shards:?} cut {:?})",
-                    snap.time()
+                    s.time().as_nanos() % every.as_nanos(),
+                    0,
+                    "checkpoints land on the absolute grid"
                 );
             }
+            let snap = &snaps[snaps.len() / 2];
+            let bytes = snap.to_bytes();
+            let back = SimSnapshot::from_bytes(&bytes).expect("round trip");
+            assert_eq!(
+                back.state_fingerprint(),
+                snap.state_fingerprint(),
+                "serialization round trip changed behavioral state"
+            );
+            let resumed = Simulator::restore(moded.clone(), &back)
+                .expect("snapshot matches its own scenario")
+                .run();
+            assert_eq!(
+                mode_invariant_fingerprint(&resumed),
+                ref_fp,
+                "restore-then-run diverged (seed {seed} refresh {refresh:?} \
+                 cache {cache:?} cut {:?})",
+                snap.time()
+            );
         }
     }
 }
 
-/// Snapshots are execution-mode-portable: the behavioral state captured
-/// at a grid instant is identical whether the run was single-threaded or
-/// region-sharded, and a snapshot taken under one shard count restores
-/// and completes under any other.
-#[test]
-fn snapshots_move_across_execution_modes() {
-    let cfg = snapshot_scenario(29, 16);
-    let every = Duration::from_millis(200);
-    let reference = Simulator::new(with_execution(cfg.clone(), None)).run();
-    let ref_fp = mode_invariant_fingerprint(&reference);
-
-    let (_, single_snaps) = run_with_checkpoints(with_execution(cfg.clone(), None), every);
-    let (_, sharded_snaps) = run_with_checkpoints(with_execution(cfg.clone(), Some(4)), every);
-    assert_eq!(
-        single_snaps.len(),
-        sharded_snaps.len(),
-        "both modes must cut at the same grid instants"
-    );
-    for (a, b) in single_snaps.iter().zip(&sharded_snaps) {
-        assert_eq!(a.time(), b.time());
-        assert_eq!(
-            a.state_fingerprint(),
-            b.state_fingerprint(),
-            "single and 4-shard captures disagree at t = {:?}",
-            a.time()
-        );
-    }
-
-    // 1-shard capture → 4-shard resume, and 4-shard capture → single
-    // resume: the cross-mode acceptance criterion.
-    let (_, one_shard_snaps) = run_with_checkpoints(with_execution(cfg.clone(), Some(1)), every);
-    let mid = &one_shard_snaps[one_shard_snaps.len() / 2];
-    let resumed_4 = Simulator::restore(with_execution(cfg.clone(), Some(4)), mid)
-        .expect("snapshots move across shard counts")
-        .run();
-    assert_eq!(
-        mode_invariant_fingerprint(&resumed_4),
-        ref_fp,
-        "1-shard snapshot resumed under 4 shards diverged"
-    );
-    let mid = &sharded_snaps[sharded_snaps.len() / 2];
-    let resumed_single = Simulator::restore(with_execution(cfg, None), mid)
-        .expect("snapshots move across execution modes")
-        .run();
-    assert_eq!(
-        mode_invariant_fingerprint(&resumed_single),
-        ref_fp,
-        "4-shard snapshot resumed single-threaded diverged"
-    );
-}
-
 /// Cooperative cancellation stops cleanly at a cut with a resumable
-/// snapshot — in both execution modes — and resuming from it completes
-/// the run bit-identically.
+/// snapshot, and resuming from it completes the run bit-identically.
 #[test]
 fn cancelled_runs_leave_resumable_snapshots() {
-    let cfg = snapshot_scenario(5, 16);
-    let reference = Simulator::new(with_execution(cfg.clone(), None)).run();
+    let cfg = with_floor(snapshot_scenario(5, 16));
+    let reference = Simulator::new(cfg.clone()).run();
     let ref_fp = mode_invariant_fingerprint(&reference);
-    for shards in [None, Some(4)] {
-        let moded = with_execution(cfg.clone(), shards);
-        // Cancel from inside the run, mid-flight: the second checkpoint
-        // pulls the trigger, so the cancellation cut lands at an
-        // arbitrary later instant.
-        let token = pcmac::CancelToken::new();
-        let seen = Mutex::new(0u32);
-        let trip = |_s: SimSnapshot| {
-            let mut n = seen.lock().unwrap();
-            *n += 1;
-            if *n == 2 {
-                token.cancel();
-            }
-        };
-        let outcome = Simulator::new(moded.clone()).run_with_hooks(RunHooks {
-            cancel: Some(&token),
-            checkpoint_every: Some(Duration::from_millis(300)),
-            checkpoint_sink: Some(&trip),
-        });
-        let snap = match outcome {
-            RunOutcome::Cancelled(Some(s)) => s,
-            RunOutcome::Cancelled(None) => panic!("queue was not empty at the cut"),
-            RunOutcome::Completed(_) => panic!("token was cancelled mid-run"),
-        };
-        assert!(
-            snap.time() > SimTime::ZERO && snap.time() < SimTime::ZERO + cfg.duration,
-            "cancellation cut should land mid-run, got {:?}",
-            snap.time()
-        );
-        let resumed = Simulator::restore(moded, &snap)
-            .expect("cancellation snapshot restores")
-            .run();
-        assert_eq!(
-            mode_invariant_fingerprint(&resumed),
-            ref_fp,
-            "resume after cancellation diverged (shards {shards:?})"
-        );
-    }
+    // Cancel from inside the run, mid-flight: the second checkpoint
+    // pulls the trigger, so the cancellation cut lands at an
+    // arbitrary later instant.
+    let token = pcmac::CancelToken::new();
+    let seen = Mutex::new(0u32);
+    let trip = |_s: SimSnapshot| {
+        let mut n = seen.lock().unwrap();
+        *n += 1;
+        if *n == 2 {
+            token.cancel();
+        }
+    };
+    let outcome = Simulator::new(cfg.clone()).run_with_hooks(RunHooks {
+        cancel: Some(&token),
+        checkpoint_every: Some(Duration::from_millis(300)),
+        checkpoint_sink: Some(&trip),
+    });
+    let snap = match outcome {
+        RunOutcome::Cancelled(Some(s)) => s,
+        RunOutcome::Cancelled(None) => panic!("queue was not empty at the cut"),
+        RunOutcome::Completed(_) => panic!("token was cancelled mid-run"),
+    };
+    assert!(
+        snap.time() > SimTime::ZERO && snap.time() < SimTime::ZERO + cfg.duration,
+        "cancellation cut should land mid-run, got {:?}",
+        snap.time()
+    );
+    let resumed = Simulator::restore(cfg.clone(), &snap)
+        .expect("cancellation snapshot restores")
+        .run();
+    assert_eq!(
+        mode_invariant_fingerprint(&resumed),
+        ref_fp,
+        "resume after cancellation diverged"
+    );
 }
 
 /// Corrupt or foreign checkpoint artifacts surface structured errors —
@@ -1023,10 +814,7 @@ fn cancelled_runs_leave_resumable_snapshots() {
 #[test]
 fn corrupt_checkpoints_fail_structurally() {
     let cfg = snapshot_scenario(5, 12);
-    let (_, snaps) = run_with_checkpoints(
-        with_execution(cfg.clone(), None),
-        Duration::from_millis(400),
-    );
+    let (_, snaps) = run_with_checkpoints(with_floor(cfg), Duration::from_millis(400));
     let bytes = snaps[snaps.len() / 2].to_bytes();
 
     // Truncation at several offsets: inside the magic, the header, the
@@ -1073,7 +861,7 @@ fn corrupt_checkpoints_fail_structurally() {
 
     // A valid snapshot of a *different* scenario must refuse to restore.
     let snap = SimSnapshot::from_bytes(&bytes).expect("pristine bytes parse");
-    let other = with_execution(snapshot_scenario(29, 12), None);
+    let other = with_floor(snapshot_scenario(29, 12));
     assert!(
         !snap.matches(&other),
         "distinct scenarios must have distinct digests"

@@ -25,11 +25,6 @@
 
 use crate::geom::Point;
 
-/// Sentinel cell id marking a node dropped from the index by
-/// [`UniformGrid::retain_nodes`] — it sits in no bucket and never
-/// appears in query results.
-pub const UNTRACKED: u32 = u32::MAX;
-
 /// A uniform bucket grid over a rectangular field.
 #[derive(Debug, Clone)]
 pub struct UniformGrid {
@@ -117,36 +112,12 @@ impl UniformGrid {
         }
     }
 
-    /// `true` while `node` still sits in a bucket (i.e. was not dropped
-    /// by [`UniformGrid::retain_nodes`]).
-    #[inline]
-    pub fn is_tracked(&self, node: u32) -> bool {
-        self.node_cell[node as usize] != UNTRACKED
-    }
-
-    /// Drop every node `keep` rejects from the buckets, marking its cell
-    /// [`UNTRACKED`]. Queries then never return it and updates to it are
-    /// forbidden. The owner-only region shards use this to keep only
-    /// their owned nodes plus the boundary halo in the index — bucket
-    /// memory (and query work) shrinks to the tracked population.
-    pub fn retain_nodes(&mut self, keep: impl Fn(u32) -> bool) {
-        for b in &mut self.buckets {
-            b.retain(|&n| keep(n));
-        }
-        for (i, c) in self.node_cell.iter_mut().enumerate() {
-            if !keep(i as u32) {
-                *c = UNTRACKED;
-            }
-        }
-    }
-
     /// Move `node` to `pos`, re-bucketing only on cell crossings.
     pub fn update(&mut self, node: u32, pos: Point) {
         let i = node as usize;
         self.positions[i] = pos;
         let new_cell = self.cell_of(pos);
         let old_cell = self.node_cell[i];
-        assert!(old_cell != UNTRACKED, "update of an untracked node");
         if new_cell == old_cell {
             return;
         }
@@ -297,35 +268,6 @@ mod tests {
             let expect: Vec<u32> = all.iter().copied().filter(|&n| n != i as u32).collect();
             assert_eq!(without, expect, "center {i}");
         }
-    }
-
-    #[test]
-    fn retain_nodes_prunes_queries_and_memory() {
-        let pts = scatter(120, 700.0, 700.0, 21);
-        let mut grid = UniformGrid::new(700.0, 700.0, 80.0, &pts);
-        // Keep every third node only.
-        grid.retain_nodes(|n| n % 3 == 0);
-        for n in 0..120u32 {
-            assert_eq!(grid.is_tracked(n), n % 3 == 0);
-        }
-        let mut got = Vec::new();
-        grid.query_circle(Point::new(350.0, 350.0), 1000.0, None, &mut got);
-        let expect: Vec<u32> = (0..120).filter(|n| n % 3 == 0).collect();
-        assert_eq!(got, expect);
-        // Tracked nodes still update and query exactly.
-        grid.update(3, Point::new(10.0, 10.0));
-        let mut near = Vec::new();
-        grid.query_circle(Point::new(10.0, 10.0), 1.0, None, &mut near);
-        assert_eq!(near, vec![3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "untracked")]
-    fn updating_an_untracked_node_panics() {
-        let pts = scatter(10, 100.0, 100.0, 2);
-        let mut grid = UniformGrid::new(100.0, 100.0, 20.0, &pts);
-        grid.retain_nodes(|n| n != 4);
-        grid.update(4, Point::new(1.0, 1.0));
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! caller-supplied content-derived priority ([`EventQueue::schedule_ranked`];
 //! plain [`EventQueue::schedule_at`] uses rank 0), so same-instant ordering
 //! can be made a pure function of event *content* rather than scheduling
-//! history — the property that lets independently built queues (e.g. one per
-//! spatial shard) agree on tie order. The sequence number is a monotone
+//! history. The sequence number is a monotone
 //! insertion counter breaking any remaining ties in scheduling order. This
 //! is the property that makes whole simulation runs reproducible: with
 //! `(time)` alone, heap internals would decide tie order and results would
@@ -141,8 +140,7 @@ impl<E> EventQueue<E> {
     /// Events due at the same instant pop in ascending rank order, with the
     /// insertion sequence breaking any remaining tie. Callers that derive the
     /// rank purely from event content make same-instant ordering independent
-    /// of scheduling history, which is what allows independently constructed
-    /// queues (one per spatial shard, say) to agree on tie order.
+    /// of scheduling history.
     pub fn schedule_ranked(&mut self, at: SimTime, rank: u128, event: E) {
         debug_assert!(
             at >= self.now,
@@ -160,25 +158,6 @@ impl<E> EventQueue<E> {
             seq,
             event,
         });
-    }
-
-    /// Keep only the events for which `keep` returns `true`, discarding the
-    /// rest as if they had never been scheduled (their contribution to
-    /// [`EventQueue::scheduled_total`] is removed too). Surviving events keep
-    /// their original due times, ranks, and sequence numbers, so relative
-    /// ordering is untouched. Used to carve a shard's queue out of a full
-    /// replica at build time.
-    pub fn retain(&mut self, mut keep: impl FnMut(&E) -> bool) {
-        let events = std::mem::take(&mut self.heap).into_vec();
-        let mut kept = BinaryHeap::with_capacity(events.len());
-        for ev in events {
-            if keep(&ev.event) {
-                kept.push(ev);
-            } else {
-                self.scheduled_total -= 1;
-            }
-        }
-        self.heap = kept;
     }
 
     /// Schedule `event` after `delay` from the current time.
@@ -312,19 +291,6 @@ mod tests {
         }
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
         assert_eq!(order, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn retain_drops_events_and_their_schedule_count() {
-        let mut q = EventQueue::new();
-        for i in 0..10u64 {
-            q.schedule_at(SimTime::from_nanos(i), i);
-        }
-        q.retain(|e| e % 2 == 0);
-        assert_eq!(q.scheduled_total(), 5);
-        assert_eq!(q.len(), 5);
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
-        assert_eq!(order, vec![0, 2, 4, 6, 8]);
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! associative — bucket counts and the nanosecond-quantized sum add as
 //! integers, the maximum folds, and the exact path is only consulted
 //! when the *combined* population fits the cap (where the consumer
-//! sorts before summarizing). A sharded run can therefore merge
-//! per-shard estimators in any grouping and obtain exactly the summary
-//! of the single-threaded run.
+//! sorts before summarizing). Per-node estimators can therefore be
+//! merged in any grouping and yield exactly the summary of the pooled
+//! population.
 
 use serde::{Deserialize, Serialize};
 
