@@ -1,7 +1,8 @@
 //! Channel fan-out: spatial index vs brute-force scan.
 //!
-//! Runs the same static sparse-field scenario under
-//! `ChannelIndexMode::Grid` and `ChannelIndexMode::BruteForce`, timing
+//! Runs the same static sparse-field scenario on the production channel
+//! (grid index) and on the reference channel of
+//! `Simulator::into_reference` (brute-force scan, live gains), timing
 //! whole simulation runs (the channel fan-out dominates them: every
 //! transmission fans out to its audible neighbourhood). Two things keep
 //! the rows comparable so the speedup column actually measures index
@@ -22,6 +23,11 @@
 //!   some rows and not others, which is why brute force at N=100 once
 //!   measured *slower* than at N=200.)
 //!
+//! The reference rows build through `Simulator::new`, so their time
+//! includes the dense gain table the production build makes for these
+//! static fields and the reference then drops (N² gains: 160k at
+//! N = 400).
+//!
 //! Besides the usual criterion output, the comparison is written to
 //! `BENCH_channel.json` at the repository root, and the run **fails**
 //! if the indexed channel does not beat the brute-force scan at
@@ -35,7 +41,7 @@
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
 
-use pcmac::{ChannelIndexMode, NodeSetup, ScenarioConfig, Simulator, Variant};
+use pcmac::{NodeSetup, ScenarioConfig, Simulator, Variant};
 use pcmac_bench::support::{
     density_per_km2, field_side, nearest_neighbour_flows, quick_mode, scatter,
 };
@@ -59,7 +65,7 @@ fn sizes() -> &'static [usize] {
 /// single-hop CBR flows (random source → nearest neighbour), 1 simulated
 /// second, basic 802.11 (every frame at maximum power — the heaviest
 /// fan-out).
-fn scenario(n: usize, mode: ChannelIndexMode) -> ScenarioConfig {
+fn scenario(n: usize) -> ScenarioConfig {
     let side = field_side(n);
     let duration = Duration::from_secs(1);
     let mut cfg = ScenarioConfig::two_nodes(Variant::Basic, 100.0, 1000.0, 1);
@@ -69,7 +75,6 @@ fn scenario(n: usize, mode: ChannelIndexMode) -> ScenarioConfig {
     // ns-2's CSThresh: reach 550 m at max power, so reception is local
     // relative to the field — the regime a spatial index exists for.
     cfg.interference_floor = Milliwatts(1.559e-8);
-    cfg.channel_index = mode;
     let pts = scatter(7, "bench.channel.placement", n, side);
     cfg.flows = nearest_neighbour_flows(
         7,
@@ -90,13 +95,13 @@ fn bench_channel(c: &mut Criterion) {
     for &n in sizes() {
         g.bench_function(format!("brute/{n}"), |b| {
             b.iter(|| {
-                let r = Simulator::new(scenario(n, ChannelIndexMode::BruteForce)).run();
+                let r = Simulator::new(scenario(n)).into_reference().run();
                 black_box(r.events)
             });
         });
         g.bench_function(format!("grid/{n}"), |b| {
             b.iter(|| {
-                let r = Simulator::new(scenario(n, ChannelIndexMode::Grid)).run();
+                let r = Simulator::new(scenario(n)).run();
                 black_box(r.events)
             });
         });

@@ -1,44 +1,45 @@
-//! The mobile hot path: lazy vs eager refresh × sparse vs dense cache.
+//! The mobile hot path: the production channel vs the reference channel.
 //!
-//! PR 1 made the *static* channel O(local); this bench measures what PR 4
-//! made O(local) for *mobile* scenarios — the two knobs it added:
+//! * **production** (`Simulator::new`) queries the spatial index,
+//!   refreshes positions lazily — per-node refresh deadlines in a
+//!   min-heap, re-sampling only due nodes plus each transmission's
+//!   actual candidates, O(local) — and evaluates gains live (static
+//!   fields of at most 2048 nodes replay them from the dense table).
+//! * **reference** (`Simulator::into_reference`) is the test oracle:
+//!   every node is a candidate receiver, every waypoint model is
+//!   re-sampled on each new timestamp (O(N) per event), and every gain
+//!   is evaluated live.
 //!
-//! * `MobilityRefreshMode`: **eager** re-samples every waypoint model on
-//!   each new timestamp (O(N) per event); **lazy** keeps per-node refresh
-//!   deadlines in a min-heap and re-samples only due nodes plus the
-//!   transmission's actual candidates (O(local)).
-//! * `GainCacheMode`: **dense** is the N² precomputed table — unavailable
-//!   under mobility, where it degrades to live evaluation (exactly the
-//!   pre-PR-4 hot path); **sparse** is the block-sparse cache keyed by
-//!   occupied grid-cell pairs, invalidated per node on movement, and the
-//!   first cache mobile scenarios can use at all.
+//! Each sample times `run()` on a freshly built simulator; the build is
+//! excluded, so the reference column does not pay for the dense table
+//! it discards.
 //!
 //! Scenarios hold node density constant (one node per 250 m × 250 m,
 //! 16 nodes/km², recorded as `density_per_km2`) with a **fixed** traffic
 //! workload (16 single-hop nearest-neighbour CBR flows) at every N, so
 //! the per-event *protocol* work is constant across rows and the timing
 //! differences isolate the channel-maintenance cost — which is the point:
-//! eager refresh scales with N while lazy scales with the neighbourhood,
-//! so the lazy/eager margin must *grow* with N. Placements are identical
-//! between the static and waypoint rows (waypoint rows move at 10 m/s
-//! with 500 ms pauses).
+//! the reference scales with N while production scales with the
+//! neighbourhood, so the production margin must *grow* with N.
+//! Placements are identical between the static and waypoint rows
+//! (waypoint rows move at 10 m/s with 500 ms pauses).
 //!
 //! Results go to `BENCH_mobility.json` at the repository root. The run
-//! **fails** unless, on waypoint scenarios, lazy+sparse beats eager+dense
-//! at every N, by ≥ 2× at N = 4000, with the margin growing from the
-//! smallest to the largest N (the PR 4 acceptance bar).
+//! **fails** unless, on waypoint scenarios, production beats the
+//! reference at every N, by ≥ 2× at N = 4000, with the margin growing
+//! from the smallest to the largest N.
 //!
 //! With `PCMAC_BENCH_QUICK=1` (the CI perf-smoke step) the bench runs
-//! reduced sizes, asserts lazy+sparse stays within a 10% tolerance band
-//! of eager+dense (≥ 0.9×), and does **not** rewrite
+//! reduced sizes, asserts production stays within a 10% tolerance band
+//! of the reference (≥ 0.9×), and does **not** rewrite
 //! `BENCH_mobility.json`.
 
-use criterion::{criterion_group, Criterion};
+use criterion::{criterion_group, BatchSize, Criterion};
 use std::hint::black_box;
 
-use pcmac::{GainCacheMode, MobilityRefreshMode, NodeSetup, ScenarioConfig, Simulator, Variant};
+use pcmac::{NodeSetup, ScenarioConfig, Simulator, Variant};
 use pcmac_bench::support::{
-    density_per_km2, field_side, nearest_neighbour_flows, quick_mode, scatter,
+    density_per_km2, field_side, host_cores, nearest_neighbour_flows, quick_mode, scatter,
 };
 use pcmac_engine::{Duration, Milliwatts};
 
@@ -48,29 +49,8 @@ const SIZES: [usize; 3] = [200, 1000, 4000];
 /// Node counts in `PCMAC_BENCH_QUICK` mode.
 const QUICK_SIZES: [usize; 2] = [100, 300];
 
-/// The four (refresh, cache) corners, with their row keys.
-const COMBOS: [(&str, MobilityRefreshMode, GainCacheMode); 4] = [
-    (
-        "eager_dense",
-        MobilityRefreshMode::Eager,
-        GainCacheMode::Dense,
-    ),
-    (
-        "lazy_dense",
-        MobilityRefreshMode::Lazy,
-        GainCacheMode::Dense,
-    ),
-    (
-        "eager_sparse",
-        MobilityRefreshMode::Eager,
-        GainCacheMode::Sparse,
-    ),
-    (
-        "lazy_sparse",
-        MobilityRefreshMode::Lazy,
-        GainCacheMode::Sparse,
-    ),
-];
+/// The two channels, with their row keys: `true` is the reference.
+const CHANNELS: [(&str, bool); 2] = [("reference", true), ("production", false)];
 
 fn sizes() -> &'static [usize] {
     if quick_mode() {
@@ -81,13 +61,8 @@ fn sizes() -> &'static [usize] {
 }
 
 /// N nodes at constant density, fixed 16-flow single-hop workload,
-/// static or random-waypoint, with the given refresh/cache knobs.
-fn scenario(
-    n: usize,
-    mobile: bool,
-    refresh: MobilityRefreshMode,
-    cache: GainCacheMode,
-) -> ScenarioConfig {
+/// static or random-waypoint.
+fn scenario(n: usize, mobile: bool) -> ScenarioConfig {
     let side = field_side(n);
     let duration = Duration::from_millis(500);
     let mut cfg = ScenarioConfig::two_nodes(Variant::Basic, 100.0, 1000.0, 1);
@@ -96,8 +71,6 @@ fn scenario(
     cfg.duration = duration;
     // CSThresh floor: 550 m reach — local reception, the indexed regime.
     cfg.interference_floor = Milliwatts(1.559e-8);
-    cfg.mobility_refresh = Some(refresh);
-    cfg.gain_cache = Some(cache);
     let pts = scatter(11, "bench.mobility.placement", n, side);
     cfg.flows = nearest_neighbour_flows(
         11,
@@ -131,12 +104,20 @@ fn bench_mobility(c: &mut Criterion) {
         });
         for mobile in [false, true] {
             let kind = if mobile { "waypoint" } else { "static" };
-            for (key, refresh, cache) in COMBOS {
+            for (key, reference) in CHANNELS {
                 g.bench_function(format!("{kind}/{key}/{n}"), |b| {
-                    b.iter(|| {
-                        let r = Simulator::new(scenario(n, mobile, refresh, cache)).run();
-                        black_box(r.events)
-                    });
+                    b.iter_batched(
+                        || {
+                            let sim = Simulator::new(scenario(n, mobile));
+                            if reference {
+                                sim.into_reference()
+                            } else {
+                                sim
+                            }
+                        },
+                        |sim| black_box(sim.run().events),
+                        BatchSize::LargeInput,
+                    );
                 });
             }
         }
@@ -167,24 +148,21 @@ fn main() {
     let mut failures = Vec::new();
     let mut waypoint_speedups: Vec<(usize, f64)> = Vec::new();
     println!(
-        "\n{:>6} {:>9} {:>13} {:>13} {:>13} {:>13} {:>9}",
-        "N", "mobility", "eager+dense", "lazy+dense", "eager+sparse", "lazy+sparse", "speedup"
+        "\n{:>6} {:>9} {:>13} {:>13} {:>9}",
+        "N", "mobility", "reference", "production", "speedup"
     );
     for &n in sizes() {
         for mobile in [false, true] {
             let kind = if mobile { "waypoint" } else { "static" };
-            let ns: Vec<f64> = COMBOS
+            let ns: Vec<f64> = CHANNELS
                 .iter()
-                .map(|(key, ..)| mean(&format!("mobility/{kind}/{key}/{n}")))
+                .map(|(key, _)| mean(&format!("mobility/{kind}/{key}/{n}")))
                 .collect();
-            // Headline: the full PR 4 path vs the full pre-PR 4 path.
-            let speedup = ns[0] / ns[3];
+            let speedup = ns[0] / ns[1];
             println!(
-                "{n:>6} {kind:>9} {:>11.2}ms {:>11.2}ms {:>11.2}ms {:>11.2}ms {speedup:>8.2}x",
+                "{n:>6} {kind:>9} {:>11.2}ms {:>11.2}ms {speedup:>8.2}x",
                 ns[0] / 1e6,
-                ns[1] / 1e6,
-                ns[2] / 1e6,
-                ns[3] / 1e6
+                ns[1] / 1e6
             );
             if mobile {
                 waypoint_speedups.push((n, speedup));
@@ -201,11 +179,11 @@ fn main() {
                     serde_json::Value::F64(density_per_km2(n)),
                 ),
             ];
-            for ((key, ..), v) in COMBOS.iter().zip(&ns) {
+            for ((key, _), v) in CHANNELS.iter().zip(&ns) {
                 row.push((format!("{key}_ns"), serde_json::Value::F64(*v)));
             }
             row.push((
-                "speedup_lazy_sparse_vs_eager_dense".into(),
+                "speedup_production_vs_reference".into(),
                 serde_json::Value::F64(speedup),
             ));
             rows.push(serde_json::Value::Map(row));
@@ -213,13 +191,13 @@ fn main() {
     }
 
     if quick {
-        // Perf smoke: lazy must stay within a 10% tolerance band of
-        // eager at the largest reduced size (smaller sizes run too fast
-        // for a stable ratio under CI noise).
+        // Perf smoke: production must stay within a 10% tolerance band
+        // of the reference at the largest reduced size (smaller sizes
+        // run too fast for a stable ratio under CI noise).
         if let Some(&(n, speedup)) = waypoint_speedups.last() {
             if speedup < 0.9 {
                 failures.push(format!(
-                    "perf smoke: lazy+sparse fell below 0.9x of eager+dense on waypoint \
+                    "perf smoke: production fell below 0.9x of the reference on waypoint \
                      N={n} (got {speedup:.2}x)"
                 ));
             }
@@ -232,7 +210,7 @@ fn main() {
         let time = |metrics: bool| {
             let mut best = f64::INFINITY;
             for _ in 0..5 {
-                let mut cfg = scenario(n, true, MobilityRefreshMode::Lazy, GainCacheMode::Sparse);
+                let mut cfg = scenario(n, true);
                 if metrics {
                     cfg.metrics = Some(pcmac::MetricsConfig::default());
                 }
@@ -261,17 +239,16 @@ fn main() {
         }
         println!("\nquick mode: BENCH_mobility.json left untouched");
     } else {
-        // The PR 4 acceptance bar.
         for &(n, speedup) in &waypoint_speedups {
             if speedup <= 1.0 {
                 failures.push(format!(
-                    "lazy+sparse must beat eager+dense on waypoint scenarios at N={n} \
+                    "production must beat the reference on waypoint scenarios at N={n} \
                      (got {speedup:.2}x)"
                 ));
             }
             if n == 4000 && speedup < 2.0 {
                 failures.push(format!(
-                    "lazy+sparse must beat eager+dense by >= 2x at N=4000 (got {speedup:.2}x)"
+                    "production must beat the reference by >= 2x at N=4000 (got {speedup:.2}x)"
                 ));
             }
         }
@@ -281,7 +258,7 @@ fn main() {
         );
         if last.1 <= first.1 {
             failures.push(format!(
-                "the lazy/eager margin must grow with N (N={} gave {:.2}x, N={} gave {:.2}x)",
+                "the production margin must grow with N (N={} gave {:.2}x, N={} gave {:.2}x)",
                 first.0, first.1, last.0, last.1
             ));
         }
@@ -291,12 +268,18 @@ fn main() {
             (
                 "description".into(),
                 serde_json::Value::Str(
-                    "whole-run wall time at constant density (16 nodes/km2, floor = CSThresh, \
-                     fixed 16-flow single-hop workload, waypoint 10 m/s / 500 ms pause): \
-                     eager vs lazy mobility refresh x dense vs block-sparse gain cache; \
-                     speedup = eager+dense / lazy+sparse"
+                    "run() wall time, build excluded, at constant density (16 nodes/km2, \
+                     floor = CSThresh, fixed 16-flow single-hop workload, waypoint 10 m/s / \
+                     500 ms pause): production channel (grid index, lazy refresh, dense gain \
+                     table on static fields up to 2048 nodes, else live gains) vs the reference \
+                     channel (brute-force scan, eager refresh, live gains); \
+                     speedup = reference / production"
                         .into(),
                 ),
+            ),
+            (
+                "host_cores".into(),
+                serde_json::Value::U64(host_cores() as u64),
             ),
             ("results".into(), serde_json::Value::Seq(rows)),
         ]);

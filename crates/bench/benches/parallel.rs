@@ -33,7 +33,7 @@ use std::hint::black_box;
 
 use pcmac::{NodeSetup, RunHooks, RunOutcome, ScenarioConfig, SimSnapshot, Simulator, Variant};
 use pcmac_bench::support::{
-    density_per_km2, field_side, nearest_neighbour_flows, quick_mode, scatter,
+    density_per_km2, field_side, host_cores, nearest_neighbour_flows, quick_mode, scatter,
 };
 use pcmac_engine::{Duration, Milliwatts};
 
@@ -58,13 +58,6 @@ fn sizes() -> &'static [usize] {
     } else {
         &SIZES
     }
-}
-
-/// Cores the OS exposes to this process, recorded in the artifact.
-fn host_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// Simulated duration per row: 400 ms at the classic sizes; the

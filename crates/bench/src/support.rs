@@ -25,6 +25,13 @@ pub fn quick_mode() -> bool {
     std::env::var_os("PCMAC_BENCH_QUICK").is_some_and(|v| v != "0" && !v.is_empty())
 }
 
+/// Cores the OS exposes to this process, recorded in the artifacts.
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
 /// Field side for a node count at constant density.
 pub fn field_side(n: usize) -> f64 {
     (n as f64).sqrt() * PITCH_M

@@ -1159,9 +1159,6 @@ impl ScenarioSpec {
             aodv,
             interference_floor: Milliwatts(1.559e-10), // CSThresh / 100
             shadowing: self.shadowing,
-            channel_index: Default::default(),
-            mobility_refresh: None,
-            gain_cache: None,
             faults: self.faults.clone(),
             metrics: self.metrics,
             delay_floor_us: self.execution.and_then(|e| e.delay_floor_us),

@@ -3,7 +3,7 @@
 //! reproduce bit-identical reports for a fixed seed across reruns and
 //! across the Lazy/Eager mobility-refresh modes.
 
-use pcmac::{GainCacheMode, MobilityRefreshMode, RunReport, ScenarioConfig, Simulator, Variant};
+use pcmac::{RunReport, ScenarioConfig, Simulator, Variant};
 use pcmac_campaign::CampaignSpec;
 
 fn example_spec() -> CampaignSpec {
@@ -56,9 +56,9 @@ fn churn_example_expands_to_a_pcm_vs_dcf_grid() {
 }
 
 #[test]
-fn churn_example_is_bit_identical_across_reruns_and_refresh_modes() {
+fn churn_example_is_bit_identical_across_reruns_and_the_reference_channel() {
     // One Basic and one Pcmac cell are enough to pin determinism; the
-    // full matrix lives in core's channel_equivalence tests.
+    // full equivalence suite lives in core's channel_equivalence tests.
     let picked: Vec<ScenarioConfig> = {
         let cfgs = example_configs();
         let basic = cfgs
@@ -82,23 +82,16 @@ fn churn_example_is_bit_identical_across_reruns_and_refresh_modes() {
             "rerun diverged ({})",
             cfg.name
         );
-        let modal = |refresh| {
-            let mut c = cfg.clone();
-            c.mobility_refresh = Some(refresh);
-            c.gain_cache = Some(GainCacheMode::Auto);
-            Simulator::new(c).run()
-        };
-        let lazy = modal(MobilityRefreshMode::Lazy);
-        let eager = modal(MobilityRefreshMode::Eager);
-        assert!(lazy.events > 0, "degenerate churn run");
+        let reference = Simulator::new(cfg.clone()).into_reference().run();
+        assert!(first.events > 0, "degenerate churn run");
         assert!(
-            lazy.resilience.is_some(),
+            first.resilience.is_some(),
             "churn plan must produce a resilience section"
         );
         assert_eq!(
-            fingerprint(&lazy),
-            fingerprint(&eager),
-            "Lazy and Eager refresh diverged ({})",
+            fingerprint(&first),
+            fingerprint(&reference),
+            "production and reference channels diverged ({})",
             cfg.name
         );
     }

@@ -84,58 +84,6 @@ impl NodeSetup {
     }
 }
 
-/// How the channel finds candidate receivers for each transmission.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ChannelIndexMode {
-    /// Query the uniform-grid spatial index: only cells within the
-    /// transmission's maximum reception range are visited. The default.
-    #[default]
-    Grid,
-    /// Scan every node per transmission. The O(N) reference
-    /// implementation, kept for equivalence tests and benchmarks.
-    BruteForce,
-}
-
-/// When cached node positions (and the spatial index) are brought up to
-/// the current instant under mobility.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MobilityRefreshMode {
-    /// Deadline-driven: the spatial index tolerates a per-node drift pad,
-    /// so a node is re-sampled only when its [`stale_after`] deadline
-    /// fires or it turns up as a transmission candidate — O(local) per
-    /// event instead of O(N) per new timestamp. Produces bit-identical
-    /// runs to [`MobilityRefreshMode::Eager`]. The default.
-    ///
-    /// [`stale_after`]: pcmac_mobility::RandomWaypoint::stale_after
-    #[default]
-    Lazy,
-    /// Re-sample every node whenever the clock advances — the O(N)
-    /// reference implementation, kept for equivalence tests and
-    /// benchmarks.
-    Eager,
-}
-
-/// Which pairwise gain cache the channel uses (effective only with
-/// [`ChannelIndexMode::Grid`]; the brute-force reference always
-/// evaluates the propagation model live).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum GainCacheMode {
-    /// Dense precomputed table for small fully-static scenarios,
-    /// block-sparse cache everywhere else. The default.
-    #[default]
-    Auto,
-    /// The O(N²)-memory precomputed table (static scenarios up to the
-    /// node guard; silently falls back to live evaluation beyond it or
-    /// under mobility).
-    Dense,
-    /// The block-sparse cache keyed by occupied grid-cell pairs,
-    /// invalidated per node on movement — works for mobile and 10⁴-node
-    /// scenarios.
-    Sparse,
-    /// No cache: evaluate the propagation model on every lookup.
-    Off,
-}
-
 /// Log-normal shadowing on top of the two-ray model (robustness
 /// experiments; the paper's channel has none).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -175,14 +123,6 @@ pub struct ScenarioConfig {
     pub interference_floor: Milliwatts,
     /// Optional log-normal shadowing (robustness ablations).
     pub shadowing: Option<ShadowingConfig>,
-    /// Candidate-receiver lookup strategy (spatial index vs full scan).
-    pub channel_index: ChannelIndexMode,
-    /// Mobility refresh strategy (`None` = the default, lazy). Kept
-    /// optional so scenario JSON predating the knob parses unchanged.
-    pub mobility_refresh: Option<MobilityRefreshMode>,
-    /// Gain cache selection (`None` = the default, auto). Kept optional
-    /// so scenario JSON predating the knob parses unchanged.
-    pub gain_cache: Option<GainCacheMode>,
     /// Deterministic fault plan (`None` = healthy network). Kept
     /// optional so scenario JSON predating the fault layer parses
     /// unchanged.
@@ -316,9 +256,6 @@ impl ScenarioConfig {
             aodv: AodvConfig::default(),
             interference_floor: Milliwatts(1.559e-10), // CSThresh / 100
             shadowing: None,
-            channel_index: ChannelIndexMode::default(),
-            mobility_refresh: None,
-            gain_cache: None,
             faults: None,
             metrics: None,
             delay_floor_us: None,
@@ -354,9 +291,6 @@ impl ScenarioConfig {
             aodv: AodvConfig::default(),
             interference_floor: Milliwatts(1.559e-10),
             shadowing: None,
-            channel_index: ChannelIndexMode::default(),
-            mobility_refresh: None,
-            gain_cache: None,
             faults: None,
             metrics: None,
             delay_floor_us: None,
@@ -402,9 +336,6 @@ impl ScenarioConfig {
             aodv: AodvConfig::default(),
             interference_floor: Milliwatts(1.559e-10),
             shadowing: None,
-            channel_index: ChannelIndexMode::default(),
-            mobility_refresh: None,
-            gain_cache: None,
             faults: None,
             metrics: None,
             delay_floor_us: None,
@@ -430,16 +361,6 @@ impl ScenarioConfig {
     /// Aggregate offered application load in kbit/s.
     pub fn offered_load_kbps(&self) -> f64 {
         self.flows.iter().map(|f| f.rate_bps).sum::<f64>() / 1000.0
-    }
-
-    /// Effective mobility refresh strategy (the default when unset).
-    pub fn mobility_refresh_mode(&self) -> MobilityRefreshMode {
-        self.mobility_refresh.unwrap_or_default()
-    }
-
-    /// Effective gain cache selection (the default when unset).
-    pub fn gain_cache_mode(&self) -> GainCacheMode {
-        self.gain_cache.unwrap_or_default()
     }
 
     /// The propagation-delay floor as a duration (zero when unset).
@@ -705,35 +626,51 @@ mod tests {
 
     #[test]
     fn pre_knob_json_still_parses() {
-        // Scenario JSON written before the refresh/cache knobs and the
-        // fault layer existed has none of the keys; all must come back
-        // as `None` (the defaults).
+        // Scenario JSON written before the fault layer, the metrics layer
+        // and the delay floor existed has none of their keys; all must
+        // come back as `None` (the defaults).
         let a = ScenarioConfig::paper(Variant::Pcmac, 500.0, 3);
-        let v: serde_json::Value = serde_json::from_str(&a.to_json()).unwrap();
-        let stripped = match v {
-            serde_json::Value::Map(m) => serde_json::Value::Map(
-                m.into_iter()
-                    .filter(|(k, _)| {
-                        k != "mobility_refresh"
-                            && k != "gain_cache"
-                            && k != "faults"
-                            && k != "metrics"
-                            && k != "delay_floor_us"
-                    })
-                    .collect(),
-            ),
+        let entries = || match serde_json::from_str(&a.to_json()).unwrap() {
+            serde_json::Value::Map(m) => m,
             _ => unreachable!("configs serialize to maps"),
         };
-        let b = ScenarioConfig::from_json(&serde_json::to_string(&stripped).unwrap())
-            .expect("pre-knob JSON parses");
-        assert_eq!(b.mobility_refresh, None);
-        assert_eq!(b.gain_cache, None);
+        let stripped: Vec<_> = entries()
+            .into_iter()
+            .filter(|(k, _)| k != "faults" && k != "metrics" && k != "delay_floor_us")
+            .collect();
+        let b = ScenarioConfig::from_json(
+            &serde_json::to_string(&serde_json::Value::Map(stripped)).unwrap(),
+        )
+        .expect("pre-knob JSON parses");
         assert_eq!(b.faults, None);
         assert_eq!(b.metrics, None);
         assert_eq!(b.delay_floor_us, None);
-        assert_eq!(b.mobility_refresh_mode(), MobilityRefreshMode::Lazy);
-        assert_eq!(b.gain_cache_mode(), GainCacheMode::Auto);
         assert!(b.delay_floor().is_zero());
+
+        // JSON from when the channel index, mobility refresh and gain
+        // cache were settable still loads (unknown keys are ignored) and
+        // runs exactly like the same config without them.
+        let mut legacy = entries();
+        let at = legacy.iter().position(|(k, _)| k == "faults").unwrap();
+        for (k, v) in [
+            ("gain_cache", "Sparse"),
+            ("mobility_refresh", "Eager"),
+            ("channel_index", "BruteForce"),
+        ] {
+            legacy.insert(at, (k.into(), serde_json::Value::Str(v.into())));
+        }
+        let c = ScenarioConfig::from_json(
+            &serde_json::to_string(&serde_json::Value::Map(legacy)).unwrap(),
+        )
+        .expect("legacy channel knobs are ignored");
+        use crate::Simulator;
+        let short = Duration::from_secs(3);
+        let fingerprint = |cfg: ScenarioConfig| {
+            let mut r = Simulator::new(cfg.with_duration(short)).run();
+            r.wall_s = 0.0;
+            serde_json::to_string(&r).unwrap()
+        };
+        assert_eq!(fingerprint(c), fingerprint(a));
     }
 
     #[test]

@@ -63,8 +63,8 @@ pub(crate) mod soa;
 pub mod trace;
 
 pub use config::{
-    flow_start, random_flow_pairs, ChannelIndexMode, FlowShape, FlowSpec, GainCacheMode,
-    InvalidScenario, MobilityRefreshMode, NodeSetup, ScenarioConfig, ShadowingConfig,
+    flow_start, random_flow_pairs, FlowShape, FlowSpec, InvalidScenario, NodeSetup, ScenarioConfig,
+    ShadowingConfig,
 };
 pub use event::SimEvent;
 pub use fault::{ChurnConfig, CrashWindow, FaultConfig, ImpairmentBurst};

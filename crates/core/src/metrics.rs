@@ -32,7 +32,6 @@ use serde::{Deserialize, Serialize};
 
 use pcmac_aodv::DropReason;
 use pcmac_engine::{Duration, PacketId, SimTime};
-use pcmac_phy::SparseCacheStats;
 
 use crate::node::Node;
 use crate::report::LatencySummary;
@@ -241,9 +240,26 @@ pub struct HotPathProfile {
     pub exact_samples: u64,
     /// Metrics probe events processed.
     pub probes: u64,
-    /// Block-sparse gain-cache effectiveness (`None` unless the run
-    /// used `GainCacheMode::Sparse`).
+    /// Always `None` (serialized as `null`): the block-sparse gain cache
+    /// it described is gone. Kept only because the `perfbench/` harness
+    /// still reads it; it goes once that harness stops.
     pub sparse_cache: Option<SparseCacheStats>,
+}
+
+/// Effectiveness counters of the former block-sparse gain cache; the
+/// type behind [`HotPathProfile::sparse_cache`], which is always `None`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SparseCacheStats {
+    /// Lookups answered from a live entry.
+    pub hits: u64,
+    /// Lookups that (re)computed the gain.
+    pub misses: u64,
+    /// Occupied cell-pair blocks currently held.
+    pub blocks: usize,
+    /// Live pair entries currently held.
+    pub entries: usize,
+    /// Epoch flushes triggered by the memory cap.
+    pub flushes: u64,
 }
 
 /// The serialized observability section of a [`RunReport`]
@@ -408,9 +424,6 @@ mod snap {
 
     impl Snap for HotPathProfile {
         fn save(&self, w: &mut SnapWriter) {
-            // The sparse-cache stats are only attached at `finish`, never
-            // while a run is live, so the checkpoint image omits them.
-            debug_assert!(self.sparse_cache.is_none());
             w.u64(self.grid_queries);
             w.u64(self.grid_candidates);
             w.u64(self.refresh_pops);
@@ -635,7 +648,7 @@ impl MetricsState {
     }
 
     /// Fold the collected state into the serializable report section.
-    pub(crate) fn finish(self, nodes: &[Node], cache: Option<SparseCacheStats>) -> SimMetrics {
+    pub(crate) fn finish(self, nodes: &[Node]) -> SimMetrics {
         let mut drops = DropTaxonomy {
             sent: self.sent,
             duplicate_deliveries: self.duplicate_deliveries,
@@ -746,9 +759,6 @@ impl MetricsState {
             energy_histogram[i] += 1;
         }
 
-        let mut hot = self.hot;
-        hot.sparse_cache = cache;
-
         SimMetrics {
             probe_interval_s: self.interval.as_secs_f64(),
             samples,
@@ -766,7 +776,7 @@ impl MetricsState {
                 energy_mean_mj: energy_mean,
                 energy_max_mj: energy_max,
             },
-            hot_path: hot,
+            hot_path: self.hot,
         }
     }
 }
@@ -798,7 +808,7 @@ mod tests {
         drop_at(&mut m, 2, Drop::EmitDead, 30);
         drop_at(&mut m, 3, Drop::TtlExpired, 40);
         m.note_delivered(PacketId(3)); // delivery overrides a drop
-        let s = m.finish(&[], None);
+        let s = m.finish(&[]);
         let d = &s.drops;
         assert_eq!(d.sent, 6);
         assert_eq!(d.delivered_unique, 2);
@@ -816,7 +826,7 @@ mod tests {
         let mut m = MetricsState::new(MetricsConfig::default(), 1, vec![]);
         m.record_probe(SimTime::ZERO + Duration::from_secs_f64(1.0), 0, 0, 0);
         m.record_probe(SimTime::ZERO + Duration::from_secs_f64(2.0), 4, 1, 6);
-        let s = m.finish(&[], None);
+        let s = m.finish(&[]);
         assert_eq!(s.samples.len(), 2);
         assert_eq!(s.samples[0].busy_fraction, 0.0);
         assert_eq!(s.samples[1].busy_fraction, 0.25);

@@ -13,15 +13,13 @@
 //! Candidate receivers come from a [`UniformGrid`] spatial index sized
 //! to the maximum reception range (max transmit power against the
 //! interference floor), so a transmission visits only the cells its
-//! signal can reach instead of scanning all N nodes
-//! ([`ChannelIndexMode::BruteForce`] keeps the O(N) reference scan for
-//! equivalence tests and benchmarks — both paths schedule the identical
-//! arrival sequence). Candidate lists are sorted by node id, so the
-//! event schedule is independent of the index's internal bucket order.
+//! signal can reach instead of scanning all N nodes. Candidate lists are
+//! sorted by node id, so the event schedule is independent of the
+//! index's internal bucket order.
 //!
-//! # Mobility refresh: lazy by default
+//! # Lazy mobility refresh
 //!
-//! Under [`MobilityRefreshMode::Lazy`] the index tolerates a per-node
+//! Whenever nodes move, the index tolerates a per-node
 //! drift *pad* (a fraction of a grid cell): each node carries a refresh
 //! deadline — the instant its position could first drift past the pad,
 //! from [`Mobility::stale_after`] — kept in a min-heap, and advancing
@@ -35,12 +33,19 @@
 //! evaluations changes.
 //!
 //! Propagation is dispatched statically through [`PropagationModel`].
-//! Pairwise gains replay from a cache per [`GainCacheMode`]: a dense
-//! precomputed [`GainCache`] for small fully-static scenarios, or the
-//! block-sparse movement-invalidated [`SparseGainCache`] everywhere
-//! else (mobile scenarios and networks past the dense guard). Event
-//! dispatch draws its scratch buffers from per-type pools on the
-//! simulator, so the steady state allocates nothing.
+//! The gain path follows the scenario's shape: a fully static field of
+//! at most `GAIN_CACHE_MAX_NODES` (2048) nodes replays pairwise gains
+//! from a dense precomputed [`GainCache`]; every other field evaluates
+//! them live. Event dispatch draws its scratch buffers from per-type pools
+//! on the simulator, so the steady state allocates nothing.
+//!
+//! # The reference channel
+//!
+//! [`Simulator::into_reference`] turns a freshly built or restored
+//! simulator into the test oracle: an O(N) scan over every node, eager
+//! refresh of every position on each new timestamp, and live gains.
+//! It schedules the identical arrival sequence, which the equivalence
+//! suites and the channel benches check against the production path.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -53,11 +58,9 @@ use pcmac_mac::{CtrlFrame, Frame, MacAction};
 use pcmac_mobility::{placement, Mobility, RandomWaypoint};
 use pcmac_phy::energy::RadioMode;
 use pcmac_phy::radio::RadioEvent;
-use pcmac_phy::{GainCache, PropagationModel, Shadowed, SparseGainCache, TwoRayGround};
+use pcmac_phy::{GainCache, PropagationModel, Shadowed, TwoRayGround};
 
-use crate::config::{
-    ChannelIndexMode, GainCacheMode, MobilityRefreshMode, NodeSetup, ScenarioConfig,
-};
+use crate::config::{NodeSetup, ScenarioConfig};
 use crate::event::SimEvent;
 use crate::fault::FaultConfig;
 use crate::metrics::{Drop as PacketDrop, MetricsState};
@@ -75,10 +78,8 @@ const C: f64 = 299_792_458.0;
 /// never drop a receiver the exact power test would keep.
 const RADIUS_SLACK: f64 = 1.0 + 1e-9;
 
-/// *Dense* gain caches are quadratic in node count; beyond this many
-/// nodes the table would dominate memory for little win and dense
-/// requests fall back to live evaluation (the block-sparse cache has no
-/// such guard — its memory follows the touched local pairs).
+/// The dense gain table is quadratic in node count; static fields with
+/// more nodes than this evaluate gains live instead.
 const GAIN_CACHE_MAX_NODES: usize = 2048;
 
 /// Lazy-refresh drift pad, as a fraction of a grid cell: a node's
@@ -91,18 +92,6 @@ const REFRESH_PAD_CELL_FRACTION: f64 = 0.125;
 /// error at the drift boundary so a node sampled exactly at its
 /// deadline can never be missed.
 const REFRESH_PAD_SLACK: f64 = 1.01;
-
-/// How the channel replays pairwise gains (resolved from
-/// [`GainCacheMode`] against the scenario's actual shape).
-#[derive(Debug)]
-enum GainCacheState {
-    /// Evaluate the propagation model per lookup.
-    Live,
-    /// Precomputed N×N table (fully static scenarios).
-    Dense(GainCache),
-    /// Block-sparse movement-invalidated cache.
-    Sparse(SparseGainCache),
-}
 
 /// A free list of scratch buffers: `take` hands out an empty vector
 /// (reusing a previously returned allocation when one exists), `put`
@@ -137,8 +126,8 @@ impl<T> BufPool<T> {
 /// the master seed at build time (crashes, churn, impairment bursts)
 /// or triggered by deterministic event-stream facts (energy budgets),
 /// and none of them touch positions, the spatial index, or the gain
-/// caches — which is what keeps faulted runs bit-identical across
-/// channel-index, mobility-refresh, and gain-cache modes.
+/// table — which is what keeps faulted runs bit-identical between the
+/// production channel and the reference channel.
 ///
 /// Crash semantics: a down node schedules no arrivals (nothing it
 /// "sends" radiates), is skipped as a receiver (it hears nothing new),
@@ -432,9 +421,12 @@ pub struct Simulator {
     /// [`Simulator::refresh_positions`]; under lazy refresh its entries
     /// may trail true positions by up to `pad_m`).
     grid: UniformGrid,
-    /// Pairwise gain replay strategy.
-    gain_cache: GainCacheState,
-    use_grid: bool,
+    /// Precomputed pairwise gains (small fully static fields only;
+    /// `None` evaluates the propagation model live).
+    gain_cache: Option<GainCache>,
+    /// `true` on the reference channel ([`Simulator::into_reference`]):
+    /// every node is a candidate receiver and positions refresh eagerly.
+    reference: bool,
     /// `true` when positions refresh lazily (mobile scenarios only).
     lazy_refresh: bool,
     /// Metres of drift the index tolerates before a deadline refresh.
@@ -547,8 +539,8 @@ impl Simulator {
 
         // Fault plan: precompute the entire crash/recover/impairment
         // schedule up front, from the master seed and the static plan
-        // alone, so the injected events are identical whatever
-        // channel-index, refresh, or cache mode executes the run.
+        // alone, so the injected events are identical whether the
+        // production or the reference channel executes the run.
         let faults = cfg.faults.as_ref().map(|plan| {
             let dur_s = cfg.duration.as_secs_f64();
             let at = |s: f64| SimTime::ZERO + Duration::from_secs_f64(s);
@@ -694,38 +686,12 @@ impl Simulator {
         };
         let grid = UniformGrid::new(cfg.field.0, cfg.field.1, cell, &positions);
 
-        // Gain caches belong to the indexed channel: the brute-force
-        // mode is the O(N)-scan-with-live-propagation reference the
-        // indexed channel is benchmarked against (cache-vs-live equality
-        // is covered by the phy gain-cache tests, so equivalence between
-        // the modes is unaffected).
-        let use_grid = cfg.channel_index == ChannelIndexMode::Grid;
-        let dense_ok = use_grid && !any_mobile && n <= GAIN_CACHE_MAX_NODES;
-        let build_sparse = || {
-            let mut c = SparseGainCache::new(n);
-            for i in 0..n as u32 {
-                c.set_cell(i, grid.node_cell(i));
-            }
-            GainCacheState::Sparse(c)
-        };
-        let gain_cache = match cfg.gain_cache_mode() {
-            GainCacheMode::Auto if dense_ok => {
-                GainCacheState::Dense(GainCache::build(&propagation, &positions))
-            }
-            GainCacheMode::Auto | GainCacheMode::Sparse if use_grid => build_sparse(),
-            GainCacheMode::Dense if dense_ok => {
-                GainCacheState::Dense(GainCache::build(&propagation, &positions))
-            }
-            _ => GainCacheState::Live,
-        };
+        let gain_cache = (!any_mobile && n <= GAIN_CACHE_MAX_NODES)
+            .then(|| GainCache::build(&propagation, &positions));
 
         // Lazy refresh: seed every mobile node's first deadline from its
-        // start position (positions are exact at t = 0). Without the
-        // grid there is nothing to keep fresh lazily — the brute-force
-        // scan visits all N nodes per transmission regardless — so that
-        // combination falls back to the eager rescan.
-        let lazy_refresh =
-            any_mobile && use_grid && cfg.mobility_refresh_mode() == MobilityRefreshMode::Lazy;
+        // start position (positions are exact at t = 0).
+        let lazy_refresh = any_mobile;
         let pad_m = grid.cell_size() * REFRESH_PAD_CELL_FRACTION;
         let mut sampled_at = Vec::new();
         let mut deadline = Vec::new();
@@ -745,7 +711,7 @@ impl Simulator {
         let delay_floor_ns = cfg.delay_floor().as_nanos();
 
         Simulator {
-            use_grid,
+            reference: false,
             lazy_refresh,
             pad_m,
             cfg,
@@ -886,16 +852,12 @@ impl Simulator {
             node.energy.finish(end);
         }
         let resilience = self.faults.take().map(FaultState::into_report);
-        let cache_stats = match &self.gain_cache {
-            GainCacheState::Sparse(c) => Some(c.stats()),
-            _ => None,
-        };
         // Probe events are subtracted from the scheduled total so the
         // reported event count matches a metrics-off run exactly.
         let mut probes_scheduled = 0;
         let metrics = self.metrics.take().map(|m| {
             probes_scheduled = m.probes_scheduled;
-            m.finish(&nodes, cache_stats)
+            m.finish(&nodes)
         });
         RunReport::build(
             &self.cfg,
@@ -1471,13 +1433,13 @@ impl Simulator {
 
     /// Bring `positions` (and the spatial index) up to `now`.
     ///
-    /// Eager mode rescans every node on each new timestamp (recording
-    /// the timestamp so repeated transmissions at the same instant —
-    /// common when several nodes react to the same timer tick — skip the
-    /// rescan). Lazy mode instead pops due refresh deadlines, touching
-    /// only nodes whose indexed position could have drifted past the
-    /// pad; exact sampling of the nodes that actually matter happens
-    /// per-candidate in [`Simulator::collect_receivers`]. Static
+    /// Lazy refresh pops due refresh deadlines, touching only nodes
+    /// whose indexed position could have drifted past the pad; exact
+    /// sampling of the nodes that actually matter happens per-candidate
+    /// in [`Simulator::collect_receivers`]. The reference channel instead
+    /// rescans every node on each new timestamp (recording the timestamp
+    /// so repeated transmissions at the same instant skip the rescan);
+    /// it never queries the index, so only `positions` follows. Static
     /// scenarios never pay anything.
     fn refresh_positions(&mut self, now: SimTime) {
         if !self.any_mobile {
@@ -1491,16 +1453,7 @@ impl Simulator {
             return;
         }
         for i in 0..self.hot.positions.len() {
-            let p = self.hot.mobility[i].position(now);
-            if p != self.hot.positions[i] {
-                self.hot.positions[i] = p;
-                if self.use_grid {
-                    self.grid.update(i as u32, p);
-                    if let GainCacheState::Sparse(c) = &mut self.gain_cache {
-                        c.note_move(i as u32, self.grid.node_cell(i as u32));
-                    }
-                }
-            }
+            self.hot.positions[i] = self.hot.mobility[i].position(now);
         }
         self.positions_at = Some(now);
     }
@@ -1541,10 +1494,9 @@ impl Simulator {
     }
 
     /// Sample node `i`'s exact position at `now` (at most once per
-    /// instant), propagating any movement into the spatial index and the
-    /// sparse gain cache, and extending the node's refresh deadline —
-    /// freshly sampled nodes cannot drift past the pad for another
-    /// `pad_m / speed`.
+    /// instant), propagating any movement into the spatial index, and
+    /// extending the node's refresh deadline — freshly sampled nodes
+    /// cannot drift past the pad for another `pad_m / speed`.
     fn sample_exact(&mut self, i: usize, now: SimTime) {
         if self.hot.sampled_at[i] == now {
             return;
@@ -1557,9 +1509,6 @@ impl Simulator {
         if p != self.hot.positions[i] {
             self.hot.positions[i] = p;
             self.grid.update(i as u32, p);
-            if let GainCacheState::Sparse(c) = &mut self.gain_cache {
-                c.note_move(i as u32, self.grid.node_cell(i as u32));
-            }
         }
         let d = self.hot.mobility[i].stale_after(now, self.pad_m);
         if d > self.hot.deadline[i] {
@@ -1573,14 +1522,17 @@ impl Simulator {
     /// padded by the staleness allowance and the transmitter plus every
     /// returned candidate are re-sampled exactly at `now`, so the
     /// subsequent gain/delay computations see true positions and the
-    /// scheduled arrivals match the eager path bit for bit.
+    /// scheduled arrivals match the reference channel bit for bit.
     fn collect_receivers(&mut self, i: usize, power: Milliwatts, now: SimTime) {
         self.refresh_positions(now);
         if self.lazy_refresh {
             self.sample_exact(i, now);
         }
         self.candidates.clear();
-        if self.use_grid {
+        if self.reference {
+            self.candidates
+                .extend((0..self.hot.positions.len() as u32).filter(|&j| j as usize != i));
+        } else {
             let mut radius = cull_radius(&self.propagation, power, self.cfg.interference_floor);
             if self.lazy_refresh {
                 radius += self.pad_m * REFRESH_PAD_SLACK;
@@ -1601,17 +1553,11 @@ impl Simulator {
                 m.hot.grid_queries += 1;
                 m.hot.grid_candidates += self.candidates.len() as u64;
             }
-        } else {
-            self.candidates
-                .extend((0..self.hot.positions.len() as u32).filter(|&j| j as usize != i));
         }
     }
 
     /// Drop receivers that are currently crashed from the candidate
-    /// list. Runs *before* the batched gain fill, exactly where the
-    /// scalar reference applied its inline `down` skip — so the sparse
-    /// cache sees the same lookup sequence (and mints the same
-    /// hit/miss/flush counters) as the per-pair path did.
+    /// list, before the batched gain fill.
     fn cull_down_receivers(&mut self) {
         let Some(fs) = &self.faults else { return };
         self.candidates.retain(|&j| !fs.down[j as usize]);
@@ -1619,27 +1565,18 @@ impl Simulator {
 
     /// Batch-evaluate the gains from node `i` to every candidate into
     /// `self.gains` (parallel to `self.candidates`): replayed from the
-    /// dense table (static), streamed through the block-sparse cache
-    /// (generation-checked), or evaluated live in one contiguous pass.
-    /// All three paths produce bit-identical values to per-pair calls.
+    /// dense table (small static fields) or evaluated live in one
+    /// contiguous pass. Both paths produce bit-identical values to
+    /// per-pair calls.
     fn fill_gains(&mut self, i: usize) {
-        match &mut self.gain_cache {
-            GainCacheState::Dense(cache) => {
+        match &self.gain_cache {
+            Some(cache) => {
                 self.gains.clear();
                 self.gains.reserve(self.candidates.len());
                 self.gains
                     .extend(self.candidates.iter().map(|&j| cache.gain(i, j as usize)));
             }
-            GainCacheState::Sparse(cache) => {
-                let prop = &self.propagation;
-                let pos = &self.hot.positions;
-                let mut gains = std::mem::take(&mut self.gains);
-                cache.gains_with_into(i as u32, &self.candidates, &mut gains, |j| {
-                    prop.gain(pos[i], pos[j as usize])
-                });
-                self.gains = gains;
-            }
-            GainCacheState::Live => self.propagation.gains_into_indexed(
+            None => self.propagation.gains_into_indexed(
                 self.hot.positions[i],
                 &self.hot.positions,
                 &self.candidates,
@@ -1796,9 +1733,9 @@ impl Simulator {
 impl Simulator {
     /// Capture the complete deterministic state at the current instant —
     /// every event dispatched so far is reflected, every pending event is
-    /// recorded. Restoring the snapshot (under this or any equivalent
-    /// channel-index, refresh or cache mode) and running to the end is
-    /// bit-identical to never having stopped.
+    /// recorded. Restoring the snapshot (on the production or the
+    /// reference channel) and running to the end is bit-identical to
+    /// never having stopped.
     pub fn snapshot(&self) -> SimSnapshot {
         self.snapshot_at(self.queue.now())
     }
@@ -1850,8 +1787,7 @@ impl Simulator {
 
     /// Bring a snapshot back to life under `cfg`. The configuration must
     /// describe the same scenario the snapshot was captured from
-    /// ([`SimSnapshot::matches`]); channel-index, refresh and cache
-    /// modes may differ freely. Running the result to the end is
+    /// ([`SimSnapshot::matches`]). Running the result to the end is
     /// bit-identical to the uninterrupted run.
     pub fn restore(cfg: ScenarioConfig, snap: &SimSnapshot) -> Result<Simulator, SnapError> {
         if !snap.matches(&cfg) {
@@ -1894,12 +1830,7 @@ impl Simulator {
             for i in 0..n {
                 let p = sim.hot.mobility[i].position(cut);
                 sim.hot.positions[i] = p;
-                if sim.use_grid {
-                    sim.grid.update(i as u32, p);
-                    if let GainCacheState::Sparse(c) = &mut sim.gain_cache {
-                        c.note_move(i as u32, sim.grid.node_cell(i as u32));
-                    }
-                }
+                sim.grid.update(i as u32, p);
             }
             sim.positions_at = Some(cut);
         }
@@ -1945,6 +1876,21 @@ impl Simulator {
         }
         Ok(sim)
     }
+
+    /// The reference channel, as a test oracle: every node is a
+    /// candidate receiver, every position is re-sampled on each new
+    /// timestamp, and every gain is evaluated live. Production runs must
+    /// match it bit for bit. Call it straight after [`Simulator::new`]
+    /// or [`Simulator::restore`], where positions are exact; the switch
+    /// itself is never serialized.
+    #[doc(hidden)]
+    pub fn into_reference(mut self) -> Self {
+        self.reference = true;
+        self.lazy_refresh = false;
+        self.refresh_heap.clear();
+        self.gain_cache = None;
+        self
+    }
 }
 
 /// Schedule `ev` with its content-derived rank (build-time sites; the
@@ -1961,4 +1907,31 @@ fn cull_radius(model: &PropagationModel, power: Milliwatts, floor: Milliwatts) -
         return f64::INFINITY;
     }
     model.max_range_for(power, floor) * RADIUS_SLACK
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pcmac_mac::Variant;
+
+    /// The dense table serves exactly the small fully static fields, so
+    /// the equivalence suites' static rows compare it against live gains.
+    #[test]
+    fn gain_path_follows_the_scenario_shape() {
+        let small = ScenarioConfig::two_nodes(Variant::Basic, 100.0, 1000.0, 1);
+        assert!(Simulator::new(small.clone()).gain_cache.is_some());
+        assert!(Simulator::new(small.clone())
+            .into_reference()
+            .gain_cache
+            .is_none());
+        let mut large = small;
+        large.nodes = NodeSetup::Static(
+            (0..=GAIN_CACHE_MAX_NODES)
+                .map(|i| Point::new((i % 40) as f64 * 20.0, (i / 40) as f64 * 15.0))
+                .collect(),
+        );
+        assert!(Simulator::new(large).gain_cache.is_none());
+        let mobile = ScenarioConfig::paper(Variant::Basic, 500.0, 1);
+        assert!(Simulator::new(mobile).gain_cache.is_none());
+    }
 }

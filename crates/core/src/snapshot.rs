@@ -156,9 +156,7 @@ impl SimSnapshot {
     }
 
     /// Does this snapshot belong to `cfg` (same behavior-relevant
-    /// configuration)? Channel index, refresh and cache modes are
-    /// excluded — they do not change behavior, so a snapshot moves
-    /// freely across them.
+    /// configuration)? The display name is excluded.
     pub fn matches(&self, cfg: &ScenarioConfig) -> bool {
         self.cfg_digest == config_digest(cfg)
     }
@@ -204,8 +202,8 @@ impl SimSnapshot {
 
     /// A digest of the *behavioral* state: everything except the
     /// metrics section (whose diagnostic hot-path work counts
-    /// legitimately differ across channel-index, refresh and cache
-    /// modes). Two runs of the same scenario are at the
+    /// legitimately differ between the production and the reference
+    /// channel). Two runs of the same scenario are at the
     /// same behavioral state at a cut iff these match; the divergence
     /// bisector binary-searches over this. The config digest is
     /// excluded — it identifies the *scenario*, not the state — so two
@@ -238,30 +236,37 @@ impl SimSnapshot {
     }
 }
 
+/// Entries configs once carried, always hashed at one normalized value:
+/// `(key, value, re-inserted before key)`, with `None` as JSON `null`.
+/// Hashing them keeps every digest, and so every existing checkpoint
+/// file, valid.
+const LEGACY_DIGEST_ENTRIES: [(&str, Option<&str>, &str); 4] = [
+    ("channel_index", Some("Grid"), "faults"),
+    ("mobility_refresh", None, "faults"),
+    ("gain_cache", None, "faults"),
+    ("execution", None, "delay_floor_us"),
+];
+
 /// Digest of the behavior-relevant scenario configuration: the master
 /// seed, duration, field, nodes, flows, radio/MAC/AODV parameters,
 /// variant, interference floor, shadowing, fault plan, metrics config
-/// and delay floor. Channel index, mobility-refresh and gain-cache
-/// modes and the display name are normalized away — proven
-/// behavior-invariant by the equivalence matrix — so a snapshot
-/// restores across any of them. The digest hashes the canonical JSON
-/// encoding, which is identical on every host.
+/// and delay floor. The display name is normalized away. The digest
+/// hashes the canonical JSON encoding, which is identical on every host.
 pub(crate) fn config_digest(cfg: &ScenarioConfig) -> u64 {
     let mut c = cfg.clone();
     c.name = String::new();
-    c.channel_index = Default::default();
-    c.mobility_refresh = None;
-    c.gain_cache = None;
     let mut v = serde::Serialize::to_value(&c);
-    // Configs once carried an always-normalized `"execution": null`
-    // entry just before `delay_floor_us`; hashing it keeps every digest,
-    // and so every existing checkpoint file, valid.
     if let serde_json::Value::Map(entries) = &mut v {
-        let at = entries
-            .iter()
-            .position(|(k, _)| k == "delay_floor_us")
-            .unwrap_or(entries.len());
-        entries.insert(at, ("execution".into(), serde_json::Value::Null));
+        for (key, value, before) in LEGACY_DIGEST_ENTRIES {
+            let at = entries
+                .iter()
+                .position(|(k, _)| k == before)
+                .unwrap_or(entries.len());
+            let value = value.map_or(serde_json::Value::Null, |s| {
+                serde_json::Value::Str(s.into())
+            });
+            entries.insert(at, (key.into(), value));
+        }
     }
     let json = serde_json::to_string(&v).expect("scenario config serializes");
     fnv1a64(json.as_bytes())
@@ -295,13 +300,18 @@ mod tests {
     #[test]
     fn config_digests_match_existing_checkpoints() {
         // Digests of these configs as checkpoint files written before the
-        // execution-strategy field was removed record them.
+        // execution-strategy and channel-mode fields were removed record
+        // them.
         use crate::{MetricsConfig, ScenarioConfig, Variant};
         let mut c = ScenarioConfig::paper(Variant::Pcmac, 500.0, 1);
         assert_eq!(config_digest(&c), 0x3d3b_6ad6_af4e_af6c);
         c.delay_floor_us = Some(10.0);
         c.metrics = Some(MetricsConfig::default());
         assert_eq!(config_digest(&c), 0xc455_b89a_71cc_097a);
+        let mobile = ScenarioConfig::paper(Variant::Pcmac, 1000.0, 1);
+        assert_eq!(config_digest(&mobile), 0xfbe8_2a3d_41c0_a44a);
+        let fixed = ScenarioConfig::two_nodes(Variant::Pcmac, 100.0, 1000.0, 1);
+        assert_eq!(config_digest(&fixed), 0x2c0a_231f_bcdd_5456);
     }
 
     #[test]

@@ -1,21 +1,25 @@
-//! Grid-indexed channel ≡ brute-force channel.
+//! Production channel ≡ reference channel.
 //!
-//! The uniform-grid spatial index is a pure optimization: for any
-//! scenario, the set (and order) of arrivals it schedules must be
-//! *identical* to the O(N) scan over all nodes, so a run under
-//! `ChannelIndexMode::Grid` must equal a run under
-//! `ChannelIndexMode::BruteForce` in every observable — event counts,
-//! deliveries, MAC/routing counters, energy, per-flow breakdowns.
+//! The production channel queries a uniform-grid spatial index,
+//! refreshes positions lazily when nodes move, and replays gains from a
+//! dense table on small static fields. Each of these is a pure
+//! optimization: for any scenario, the set (and order) of arrivals must
+//! be *identical* to the reference channel of
+//! `Simulator::into_reference` — an O(N) scan over all nodes, eager
+//! refresh of every position, live gains — in every observable: event
+//! counts, deliveries, MAC/routing counters, energy, per-flow
+//! breakdowns. So each comparison below checks grid ≡ brute force, and
+//! lazy ≡ eager refresh on mobile fields or dense table ≡ live gains on
+//! static ones.
 //!
 //! These tests compare entire serialized [`RunReport`]s (minus wall-clock
 //! time) across random seeds, field sizes, node counts, interference
 //! floors, and protocol variants, under static placement, mobility, and
-//! shadowing.
+//! shadowing, and across checkpoint/restore.
 
 use pcmac::{
-    ChannelIndexMode, ChurnConfig, CrashWindow, FaultConfig, FlowShape, FlowSpec, GainCacheMode,
-    ImpairmentBurst, MetricsConfig, MobilityRefreshMode, NodeSetup, RunReport, ScenarioConfig,
-    ShadowingConfig, Simulator, Variant,
+    ChurnConfig, CrashWindow, FaultConfig, FlowShape, FlowSpec, ImpairmentBurst, MetricsConfig,
+    NodeSetup, RunReport, ScenarioConfig, ShadowingConfig, Simulator, Variant,
 };
 use pcmac_engine::{Duration, FlowId, Milliwatts, NodeId, Point, RngStream, SimTime};
 use proptest::prelude::*;
@@ -47,9 +51,9 @@ fn behaviour_fingerprint(r: &RunReport) -> serde_json::Value {
 }
 
 /// [`fingerprint`] with `metrics.hot_path` removed: the hot-path
-/// profile legitimately differs across refresh/cache/index modes (it
-/// counts what each mode's machinery *did*), while every other metrics
-/// field must be mode-invariant.
+/// profile legitimately differs between the production and the
+/// reference channel (it counts what each one's machinery *did*), while
+/// every other metrics field must be identical.
 fn mode_invariant_fingerprint(r: &RunReport) -> serde_json::Value {
     let strip = |v: serde_json::Value| match v {
         serde_json::Value::Map(entries) => serde_json::Value::Map(
@@ -134,22 +138,23 @@ fn random_scenario(
     cfg
 }
 
+/// Run `cfg` on the reference channel.
+fn reference_run(cfg: ScenarioConfig) -> RunReport {
+    Simulator::new(cfg).into_reference().run()
+}
+
 fn assert_equivalent(cfg: ScenarioConfig) {
-    let mut grid_cfg = cfg.clone();
-    grid_cfg.channel_index = ChannelIndexMode::Grid;
-    let mut brute_cfg = cfg;
-    brute_cfg.channel_index = ChannelIndexMode::BruteForce;
-    let grid = Simulator::new(grid_cfg).run();
-    let brute = Simulator::new(brute_cfg).run();
+    let production = Simulator::new(cfg.clone()).run();
+    let reference = reference_run(cfg);
     assert!(
-        grid.events > 0,
+        production.events > 0,
         "degenerate run: no events means the comparison is vacuous"
     );
     assert_eq!(
-        fingerprint(&grid),
-        fingerprint(&brute),
-        "grid and brute-force channels diverged (seed {})",
-        grid.seed
+        fingerprint(&production),
+        fingerprint(&reference),
+        "production and reference channels diverged (seed {})",
+        production.seed
     );
 }
 
@@ -235,24 +240,10 @@ fn grid_matches_brute_force_with_disabled_floor() {
     assert_equivalent(cfg);
 }
 
-/// Pin the indexed channel's refresh and cache strategies.
-fn with_modes(
-    mut cfg: ScenarioConfig,
-    refresh: MobilityRefreshMode,
-    cache: GainCacheMode,
-) -> ScenarioConfig {
-    cfg.channel_index = ChannelIndexMode::Grid;
-    cfg.mobility_refresh = Some(refresh);
-    cfg.gain_cache = Some(cache);
-    cfg
-}
-
-/// The PR 4 acceptance bar: lazy refresh + block-sparse cache versus
-/// eager refresh + dense cache (which falls back to live evaluation
-/// under mobility, exactly the pre-lazy hot path) — bit-identical
-/// reports on mobile scenarios across seeds.
+/// Lazy refresh against eager refresh on mobile scenarios across seeds
+/// and variants.
 #[test]
-fn lazy_sparse_matches_eager_dense_under_mobility() {
+fn lazy_refresh_matches_eager_under_mobility() {
     for seed in [2u64, 19, 31, 47] {
         let cfg = random_scenario(
             Variant::ALL[seed as usize % 4],
@@ -263,31 +254,13 @@ fn lazy_sparse_matches_eager_dense_under_mobility() {
             true,
             None,
         );
-        let lazy = Simulator::new(with_modes(
-            cfg.clone(),
-            MobilityRefreshMode::Lazy,
-            GainCacheMode::Sparse,
-        ))
-        .run();
-        let eager = Simulator::new(with_modes(
-            cfg,
-            MobilityRefreshMode::Eager,
-            GainCacheMode::Dense,
-        ))
-        .run();
-        assert!(lazy.events > 0, "degenerate run is a vacuous comparison");
-        assert_eq!(
-            fingerprint(&lazy),
-            fingerprint(&eager),
-            "lazy/sparse and eager/dense diverged (seed {seed})"
-        );
+        assert_equivalent(cfg);
     }
 }
 
-/// Same bar under shadowing, where gains are direction-dependent and
-/// the sparse cache must key ordered pairs.
+/// Same bar under shadowing, where gains are direction-dependent.
 #[test]
-fn lazy_sparse_matches_eager_dense_under_mobility_with_shadowing() {
+fn lazy_refresh_matches_eager_under_mobility_with_shadowing() {
     for (seed, symmetric) in [(13u64, true), (29, false)] {
         let cfg = random_scenario(
             Variant::Pcmac,
@@ -301,26 +274,14 @@ fn lazy_sparse_matches_eager_dense_under_mobility_with_shadowing() {
                 symmetric,
             }),
         );
-        let lazy = Simulator::new(with_modes(
-            cfg.clone(),
-            MobilityRefreshMode::Lazy,
-            GainCacheMode::Sparse,
-        ))
-        .run();
-        let eager = Simulator::new(with_modes(
-            cfg,
-            MobilityRefreshMode::Eager,
-            GainCacheMode::Dense,
-        ))
-        .run();
-        assert_eq!(fingerprint(&lazy), fingerprint(&eager), "seed {seed}");
+        assert_equivalent(cfg);
     }
 }
 
-/// Static scenarios: the block-sparse cache (lazy fill) must replay the
-/// dense precomputed table bit for bit.
+/// Static scenarios: the dense precomputed table must replay live gain
+/// evaluation bit for bit.
 #[test]
-fn sparse_cache_matches_dense_cache_when_static() {
+fn dense_table_matches_live_gains_when_static() {
     for seed in [4u64, 21] {
         let cfg = random_scenario(
             Variant::Pcmac,
@@ -331,19 +292,7 @@ fn sparse_cache_matches_dense_cache_when_static() {
             false,
             None,
         );
-        let sparse = Simulator::new(with_modes(
-            cfg.clone(),
-            MobilityRefreshMode::Lazy,
-            GainCacheMode::Sparse,
-        ))
-        .run();
-        let dense = Simulator::new(with_modes(
-            cfg,
-            MobilityRefreshMode::Eager,
-            GainCacheMode::Dense,
-        ))
-        .run();
-        assert_eq!(fingerprint(&sparse), fingerprint(&dense), "seed {seed}");
+        assert_equivalent(cfg);
     }
 }
 
@@ -384,11 +333,10 @@ fn fault_plan(n: usize) -> FaultConfig {
 }
 
 /// The fault schedule is derived from the master seed and the plan
-/// alone, so injected runs must stay bit-identical across the whole
-/// refresh × cache matrix and across grid vs brute-force channels —
-/// the ISSUE 6 determinism proof obligation.
+/// alone, so injected runs must stay bit-identical between the
+/// production and the reference channel.
 #[test]
-fn fault_injection_is_deterministic_across_refresh_and_cache_modes() {
+fn fault_injection_matches_the_reference_channel() {
     for seed in [3u64, 23, 41] {
         let n = 16;
         let mut cfg = random_scenario(
@@ -402,13 +350,7 @@ fn fault_injection_is_deterministic_across_refresh_and_cache_modes() {
         );
         cfg.faults = Some(fault_plan(n));
 
-        let reference = {
-            let mut c = cfg.clone();
-            c.channel_index = ChannelIndexMode::BruteForce;
-            c.mobility_refresh = Some(MobilityRefreshMode::Eager);
-            c.gain_cache = Some(GainCacheMode::Off);
-            Simulator::new(c).run()
-        };
+        let reference = reference_run(cfg.clone());
         assert!(reference.events > 0, "degenerate faulted run");
         let res = reference
             .resilience
@@ -420,21 +362,12 @@ fn fault_injection_is_deterministic_across_refresh_and_cache_modes() {
             "phase accounting must cover every packet"
         );
 
-        for refresh in [MobilityRefreshMode::Lazy, MobilityRefreshMode::Eager] {
-            for cache in [
-                GainCacheMode::Auto,
-                GainCacheMode::Dense,
-                GainCacheMode::Sparse,
-                GainCacheMode::Off,
-            ] {
-                let run = Simulator::new(with_modes(cfg.clone(), refresh, cache)).run();
-                assert_eq!(
-                    fingerprint(&run),
-                    fingerprint(&reference),
-                    "faulted run diverged (seed {seed} refresh {refresh:?} cache {cache:?})"
-                );
-            }
-        }
+        let run = Simulator::new(cfg).run();
+        assert_eq!(
+            fingerprint(&run),
+            fingerprint(&reference),
+            "faulted run diverged (seed {seed})"
+        );
     }
 }
 
@@ -501,9 +434,9 @@ fn metrics_layer_is_behaviour_identical() {
 }
 
 /// The metrics section's own determinism contract: bit-identical across
-/// same-mode reruns (including the hot-path profile), and — hot-path
-/// profile aside, which by design counts mode-specific work —
-/// bit-identical across the whole refresh × cache matrix.
+/// reruns (including the hot-path profile), and — hot-path profile
+/// aside, which by design counts channel-specific work — bit-identical
+/// between the production and the reference channel.
 #[test]
 fn metrics_are_deterministic_across_reruns_and_modes() {
     let base = || {
@@ -528,34 +461,18 @@ fn metrics_are_deterministic_across_reruns_and_modes() {
     assert_eq!(
         fingerprint(&a),
         fingerprint(&b),
-        "same-mode reruns must match bit for bit, hot-path profile included"
+        "reruns must match bit for bit, hot-path profile included"
     );
     let m = a.metrics.as_ref().expect("metrics layer on");
     assert!(!m.samples.is_empty(), "0.25 s probes inside a 2 s run");
     assert!(m.drops.conserved(), "taxonomy leak");
 
-    let reference = {
-        let mut c = base();
-        c.channel_index = ChannelIndexMode::BruteForce;
-        c.mobility_refresh = Some(MobilityRefreshMode::Eager);
-        c.gain_cache = Some(GainCacheMode::Off);
-        Simulator::new(c).run()
-    };
-    for refresh in [MobilityRefreshMode::Lazy, MobilityRefreshMode::Eager] {
-        for cache in [
-            GainCacheMode::Auto,
-            GainCacheMode::Dense,
-            GainCacheMode::Sparse,
-            GainCacheMode::Off,
-        ] {
-            let run = Simulator::new(with_modes(base(), refresh, cache)).run();
-            assert_eq!(
-                mode_invariant_fingerprint(&run),
-                mode_invariant_fingerprint(&reference),
-                "metrics diverged across modes (refresh {refresh:?} cache {cache:?})"
-            );
-        }
-    }
+    let reference = reference_run(base());
+    assert_eq!(
+        mode_invariant_fingerprint(&a),
+        mode_invariant_fingerprint(&reference),
+        "metrics diverged between the production and the reference channel"
+    );
 }
 
 /// Pin the propagation-delay floor. The floor is part of the channel
@@ -571,52 +488,6 @@ fn with_floor(mut cfg: ScenarioConfig) -> ScenarioConfig {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Fuzzed refresh × cache matrix: any combination of mobility
-    /// refresh strategy and gain cache must reproduce the brute-force
-    /// eager live-evaluation reference bit for bit — mobile or static,
-    /// any variant, any floor.
-    #[test]
-    fn refresh_and_cache_modes_never_change_results(
-        seed in 0u64..10_000,
-        n in 8usize..24,
-        side in 600.0f64..3000.0,
-        floor_exp in 0u32..4,
-        variant_idx in 0usize..4,
-        mobile in any::<bool>(),
-        refresh_lazy in any::<bool>(),
-        cache_idx in 0usize..4,
-    ) {
-        let floor = Milliwatts(1.559e-10 * 10f64.powi(floor_exp as i32));
-        let cfg = random_scenario(
-            Variant::ALL[variant_idx],
-            seed,
-            n,
-            side,
-            floor,
-            mobile,
-            None,
-        );
-        let refresh = if refresh_lazy { MobilityRefreshMode::Lazy } else { MobilityRefreshMode::Eager };
-        let cache = [
-            GainCacheMode::Auto,
-            GainCacheMode::Dense,
-            GainCacheMode::Sparse,
-            GainCacheMode::Off,
-        ][cache_idx];
-        let indexed = Simulator::new(with_modes(cfg.clone(), refresh, cache)).run();
-        let mut reference = cfg;
-        reference.channel_index = ChannelIndexMode::BruteForce;
-        reference.mobility_refresh = Some(MobilityRefreshMode::Eager);
-        reference.gain_cache = Some(GainCacheMode::Off);
-        let reference = Simulator::new(reference).run();
-        prop_assert_eq!(
-            fingerprint(&indexed),
-            fingerprint(&reference),
-            "diverged: seed {} n {} side {} mobile {} refresh {:?} cache {:?}",
-            seed, n, side, mobile, refresh, cache
-        );
-    }
 
     /// Fuzzed equivalence: random seed, node count, field size, floor
     /// scaling, variant, and mobility flag.
@@ -642,15 +513,11 @@ proptest! {
             mobile,
             None,
         );
-        let mut grid_cfg = cfg.clone();
-        grid_cfg.channel_index = ChannelIndexMode::Grid;
-        let mut brute_cfg = cfg;
-        brute_cfg.channel_index = ChannelIndexMode::BruteForce;
-        let grid = Simulator::new(grid_cfg).run();
-        let brute = Simulator::new(brute_cfg).run();
+        let production = Simulator::new(cfg.clone()).run();
+        let reference = reference_run(cfg);
         prop_assert_eq!(
-            fingerprint(&grid),
-            fingerprint(&brute),
+            fingerprint(&production),
+            fingerprint(&reference),
             "diverged: seed {} n {} side {} floor {:?} mobile {}",
             seed, n, side, floor, mobile
         );
@@ -664,12 +531,12 @@ proptest! {
 use pcmac::{RunHooks, RunOutcome, SimSnapshot};
 use std::sync::Mutex;
 
-/// Run `cfg` to completion while checkpointing every `every`, returning
+/// Run `sim` to completion while checkpointing every `every`, returning
 /// the completed report and every checkpoint in capture order.
-fn run_with_checkpoints(cfg: ScenarioConfig, every: Duration) -> (RunReport, Vec<SimSnapshot>) {
+fn run_with_checkpoints(sim: Simulator, every: Duration) -> (RunReport, Vec<SimSnapshot>) {
     let sink = Mutex::new(Vec::new());
     let push = |s: SimSnapshot| sink.lock().unwrap().push(s);
-    let outcome = Simulator::new(cfg).run_with_hooks(RunHooks {
+    let outcome = sim.run_with_hooks(RunHooks {
         cancel: None,
         checkpoint_every: Some(every),
         checkpoint_sink: Some(&push),
@@ -681,17 +548,17 @@ fn run_with_checkpoints(cfg: ScenarioConfig, every: Duration) -> (RunReport, Vec
     (report, sink.into_inner().unwrap())
 }
 
-/// A faulted, metrics-on mobile scenario — the densest state a snapshot
-/// has to carry (crashes, churn, impairments, energy budgets, probe
-/// chains, waypoint RNGs all live at the cut).
-fn snapshot_scenario(seed: u64, n: usize) -> ScenarioConfig {
+/// A faulted, metrics-on scenario — the densest state a snapshot has
+/// to carry (crashes, churn, impairments, energy budgets, probe chains,
+/// and on mobile fields waypoint RNGs all live at the cut).
+fn snapshot_scenario(seed: u64, n: usize, mobile: bool) -> ScenarioConfig {
     let mut cfg = random_scenario(
         Variant::ALL[seed as usize % 4],
         seed,
         n,
         1500.0,
         Milliwatts(1.559e-10),
-        true,
+        mobile,
         None,
     );
     cfg.faults = Some(fault_plan(n));
@@ -701,35 +568,42 @@ fn snapshot_scenario(seed: u64, n: usize) -> ScenarioConfig {
     cfg
 }
 
-/// Snapshot at a fuzzed mid-run grid time under every refresh × cache
-/// combination (faulted, metrics-on, mobile), restore in-process, run
-/// to the end — the result must be bit-identical (mode-invariant
-/// observables) to the uninterrupted reference. The capture run itself must also be
-/// unperturbed by checkpointing, and every checkpoint must survive a
-/// serialization round trip unchanged.
+/// `sim` on the production or the reference channel.
+fn on_channel(sim: Simulator, reference: bool) -> Simulator {
+    if reference {
+        sim.into_reference()
+    } else {
+        sim
+    }
+}
+
+/// Snapshot at a fuzzed mid-run grid time (faulted, metrics-on, mobile
+/// and static), restore in-process on the production and on the
+/// reference channel, run to the end — the result must be bit-identical
+/// (hot-path profile aside) to the uninterrupted production run. The
+/// capture run itself must also be unperturbed by checkpointing, and
+/// every checkpoint must survive a serialization round trip unchanged.
 #[test]
 fn checkpoint_restore_is_bit_identical_across_matrix() {
-    for seed in [5u64, 29] {
-        let cfg = snapshot_scenario(seed, 16);
-        let reference = Simulator::new(with_floor(cfg.clone())).run();
+    for (seed, mobile) in [(5u64, true), (29, true), (5, false), (29, false)] {
+        let cfg = with_floor(snapshot_scenario(seed, 16, mobile));
+        let uninterrupted = Simulator::new(cfg.clone()).run();
         assert!(
-            reference.events > 0,
+            uninterrupted.events > 0,
             "degenerate run is a vacuous comparison"
         );
-        let ref_fp = mode_invariant_fingerprint(&reference);
+        let ref_fp = mode_invariant_fingerprint(&uninterrupted);
         // Fuzz the checkpoint grid per seed so cuts land at arbitrary
         // mid-run instants, not a hand-picked friendly time.
         let every = Duration::from_millis(110 + (seed * 37) % 140);
-        for (refresh, cache) in [
-            (MobilityRefreshMode::Lazy, GainCacheMode::Sparse),
-            (MobilityRefreshMode::Eager, GainCacheMode::Off),
-        ] {
-            let moded = with_floor(with_modes(cfg.clone(), refresh, cache));
-            let (hooked, snaps) = run_with_checkpoints(moded.clone(), every);
+        for reference in [false, true] {
+            let (hooked, snaps) =
+                run_with_checkpoints(on_channel(Simulator::new(cfg.clone()), reference), every);
             assert_eq!(
                 mode_invariant_fingerprint(&hooked),
                 ref_fp,
-                "checkpointing perturbed the run (seed {seed})"
+                "checkpointing perturbed the run (seed {seed} mobile {mobile} \
+                 reference {reference})"
             );
             assert!(
                 snaps.len() >= 4,
@@ -750,14 +624,14 @@ fn checkpoint_restore_is_bit_identical_across_matrix() {
                 snap.state_fingerprint(),
                 "serialization round trip changed behavioral state"
             );
-            let resumed = Simulator::restore(moded.clone(), &back)
-                .expect("snapshot matches its own scenario")
-                .run();
+            let restored =
+                Simulator::restore(cfg.clone(), &back).expect("snapshot matches its own scenario");
+            let resumed = on_channel(restored, reference).run();
             assert_eq!(
                 mode_invariant_fingerprint(&resumed),
                 ref_fp,
-                "restore-then-run diverged (seed {seed} refresh {refresh:?} \
-                 cache {cache:?} cut {:?})",
+                "restore-then-run diverged (seed {seed} mobile {mobile} reference {reference} \
+                 cut {:?})",
                 snap.time()
             );
         }
@@ -768,7 +642,7 @@ fn checkpoint_restore_is_bit_identical_across_matrix() {
 /// snapshot, and resuming from it completes the run bit-identically.
 #[test]
 fn cancelled_runs_leave_resumable_snapshots() {
-    let cfg = with_floor(snapshot_scenario(5, 16));
+    let cfg = with_floor(snapshot_scenario(5, 16, true));
     let reference = Simulator::new(cfg.clone()).run();
     let ref_fp = mode_invariant_fingerprint(&reference);
     // Cancel from inside the run, mid-flight: the second checkpoint
@@ -813,8 +687,9 @@ fn cancelled_runs_leave_resumable_snapshots() {
 /// a mismatched scenario — and never panic.
 #[test]
 fn corrupt_checkpoints_fail_structurally() {
-    let cfg = snapshot_scenario(5, 12);
-    let (_, snaps) = run_with_checkpoints(with_floor(cfg), Duration::from_millis(400));
+    let cfg = snapshot_scenario(5, 12, true);
+    let (_, snaps) =
+        run_with_checkpoints(Simulator::new(with_floor(cfg)), Duration::from_millis(400));
     let bytes = snaps[snaps.len() / 2].to_bytes();
 
     // Truncation at several offsets: inside the magic, the header, the
@@ -861,7 +736,7 @@ fn corrupt_checkpoints_fail_structurally() {
 
     // A valid snapshot of a *different* scenario must refuse to restore.
     let snap = SimSnapshot::from_bytes(&bytes).expect("pristine bytes parse");
-    let other = with_floor(snapshot_scenario(29, 12));
+    let other = with_floor(snapshot_scenario(29, 12, true));
     assert!(
         !snap.matches(&other),
         "distinct scenarios must have distinct digests"

@@ -9,11 +9,7 @@
 //!   carrier-sense range 550 m at the 281.8 mW maximum power.
 //! * [`model`] — the closed [`PropagationModel`] enum (static dispatch on
 //!   the channel hot path) and the dense [`GainCache`] precomputing
-//!   pairwise gains for fully static scenarios.
-//! * [`gain`] — the block-sparse [`SparseGainCache`]: pair gains keyed by
-//!   occupied spatial-index cell pairs, invalidated per node on movement,
-//!   O(touched local pairs) memory instead of N² — the cache mobile and
-//!   10⁴-node scenarios use.
+//!   pairwise gains for small fully static scenarios.
 //! * [`levels`] — the paper's ten discrete transmit power levels
 //!   (1 mW … 281.8 mW) and quantisation of a computed "needed power" up to
 //!   the next level.
@@ -28,7 +24,6 @@
 //! tests.
 
 pub mod energy;
-pub mod gain;
 pub mod levels;
 pub mod model;
 pub mod propagation;
@@ -36,7 +31,6 @@ pub mod radio;
 pub mod shadowing;
 
 pub use energy::{EnergyMeter, RadioMode};
-pub use gain::{SparseCacheStats, SparseGainCache};
 pub use levels::PowerLevels;
 pub use model::{GainCache, PropagationModel};
 pub use propagation::{Propagation, TwoRayGround};

@@ -9,12 +9,15 @@
 //! evaluation is a direct (inlineable) match instead of a vtable jump.
 //! The [`Propagation`] trait stays for generic call-sites and tests.
 //!
-//! [`GainCache`] goes one step further for fully static scenarios: with
-//! positions frozen for the whole run, every pairwise gain is computed
-//! once up front and each transmission reads a table row. The cache
-//! stores the full N×N matrix (not just the upper triangle) so it is
-//! also exact for the asymmetric-shadowing ablation, where
-//! `G_sd ≠ G_ds` by design.
+//! [`GainCache`] goes one step further for small fully static
+//! scenarios: with positions frozen for the whole run, every pairwise
+//! gain is computed once up front and each transmission reads a table
+//! row. The cache stores the full N×N matrix (not just the upper
+//! triangle) so it is also exact for the asymmetric-shadowing ablation,
+//! where `G_sd ≠ G_ds` by design. The simulator uses it for static
+//! fields of at most 2048 nodes, where N² memory stays small; every
+//! other field, mobile or larger, evaluates gains live through the
+//! batched [`PropagationModel::gains_into_indexed`].
 
 use pcmac_engine::{Milliwatts, Point};
 

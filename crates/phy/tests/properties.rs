@@ -140,40 +140,4 @@ proptest! {
         }).collect();
         prop_assert_eq!(starts, ends);
     }
-
-    /// The sparse gain cache is transparent: through arbitrary interleaved
-    /// moves and lookups it returns exactly `model.gain` over the *current*
-    /// positions — bit for bit, hit or miss — including under asymmetric
-    /// shadowing where `G_ij ≠ G_ji`.
-    #[test]
-    fn sparse_gain_cache_is_transparent(
-        seed in 0u64..1_000,
-        coords in proptest::collection::vec((0.0f64..2000.0, 0.0f64..2000.0), 2..24),
-        ops in proptest::collection::vec((any::<bool>(), 0usize..24, 0usize..24, 0.0f64..2000.0, 0.0f64..2000.0), 1..200),
-        sigma in 0.0f64..8.0,
-    ) {
-        use pcmac_phy::{PropagationModel, Shadowed, SparseGainCache};
-
-        let model = PropagationModel::Shadowed(Shadowed::new(
-            TwoRayGround::ns2_default(), sigma, false, seed,
-        ));
-        let mut pts: Vec<Point> = coords.iter().map(|&(x, y)| Point::new(x, y)).collect();
-        let n = pts.len();
-        let cell_of = |p: Point| ((p.y / 250.0) as u32) * 8 + (p.x / 250.0) as u32;
-        let mut cache = SparseGainCache::new(n);
-        for (i, &p) in pts.iter().enumerate() {
-            cache.set_cell(i as u32, cell_of(p));
-        }
-        for &(is_move, a, b, x, y) in &ops {
-            let (i, j) = (a % n, b % n);
-            if is_move {
-                pts[i] = Point::new(x, y);
-                cache.note_move(i as u32, cell_of(pts[i]));
-            } else if i != j {
-                let want = model.gain(pts[i], pts[j]);
-                let got = cache.gain_with(i as u32, j as u32, || model.gain(pts[i], pts[j]));
-                prop_assert_eq!(got.to_bits(), want.to_bits(), "pair ({}, {})", i, j);
-            }
-        }
-    }
 }
