@@ -648,7 +648,7 @@ impl MetricsState {
     }
 
     /// Fold the collected state into the serializable report section.
-    pub(crate) fn finish(self, nodes: &[Node]) -> SimMetrics {
+    pub(crate) fn finish(self, nodes: &[Box<Node>]) -> SimMetrics {
         let mut drops = DropTaxonomy {
             sent: self.sent,
             duplicate_deliveries: self.duplicate_deliveries,

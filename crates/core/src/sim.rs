@@ -404,6 +404,9 @@ mod fault_snap {
 /// A configured, runnable simulation.
 pub struct Simulator {
     cfg: ScenarioConfig,
+    /// [`crate::snapshot::config_digest`] of `cfg`, computed by the first
+    /// snapshot (or taken from the snapshot a restore matched).
+    cfg_digest: std::cell::OnceCell<u64>,
     queue: EventQueue<SimEvent>,
     /// Cold per-node state: radios, MAC, routing, traffic, energy. One
     /// allocation per node, the layout the build-time, snapshot and
@@ -411,6 +414,10 @@ pub struct Simulator {
     /// separately measured change.
     #[allow(clippy::vec_box)]
     nodes: Vec<Box<Node>>,
+    /// Per node: has an event addressed to it dispatched since the
+    /// hooked run's last checkpoint? Untouched nodes reuse that
+    /// checkpoint's blob instead of being encoded again.
+    touched: Vec<bool>,
     /// Struct-of-arrays hot per-node state: positions, movement,
     /// alive flags, carrier/queue mirrors, tx-key counters.
     hot: HotState,
@@ -715,8 +722,10 @@ impl Simulator {
             lazy_refresh,
             pad_m,
             cfg,
+            cfg_digest: std::cell::OnceCell::new(),
             queue,
             nodes,
+            touched: vec![false; n],
             hot: HotState {
                 positions,
                 mobility,
@@ -805,6 +814,9 @@ impl Simulator {
         let mut next_cp_ns =
             every_ns.map(|e| crate::snapshot::next_grid_point(self.queue.now(), e).as_nanos());
         let mut ticks: u64 = 0;
+        // Every node's blob at the last checkpoint: the next one encodes
+        // only the nodes events have touched since.
+        let mut prev: Vec<Arc<[u8]>> = Vec::new();
         while let Some(t) = self.queue.peek_time() {
             if t > end {
                 break;
@@ -815,7 +827,10 @@ impl Simulator {
                     break;
                 }
                 if let Some(sink) = hooks.checkpoint_sink {
-                    sink(self.snapshot_at(SimTime::from_nanos(cp)));
+                    let snap = self.snapshot_at(SimTime::from_nanos(cp), &prev);
+                    prev.clone_from(&snap.nodes);
+                    self.touched.fill(false);
+                    sink(snap);
                 }
                 next_cp_ns = Some(cp.saturating_add(every_ns.expect("grid implies interval")));
                 crossed_grid = true;
@@ -831,7 +846,7 @@ impl Simulator {
                     .cancel
                     .is_some_and(crate::snapshot::CancelToken::is_cancelled)
             {
-                return RunOutcome::Cancelled(Some(self.snapshot_at(t)));
+                return RunOutcome::Cancelled(Some(self.snapshot_at(t, &prev)));
             }
             ticks += 1;
             let ev = self.queue.pop().expect("peeked");
@@ -844,11 +859,7 @@ impl Simulator {
     /// Close the ledgers and build the report after the event loop
     /// drains (shared by the plain and hooked run paths).
     fn finalize(mut self, wall_start: std::time::Instant, end: SimTime) -> RunReport {
-        let mut nodes: Vec<Node> = std::mem::take(&mut self.nodes)
-            .into_iter()
-            .map(|b| *b)
-            .collect();
-        for node in &mut nodes {
+        for node in &mut self.nodes {
             node.energy.finish(end);
         }
         let resilience = self.faults.take().map(FaultState::into_report);
@@ -857,11 +868,11 @@ impl Simulator {
         let mut probes_scheduled = 0;
         let metrics = self.metrics.take().map(|m| {
             probes_scheduled = m.probes_scheduled;
-            m.finish(&nodes)
+            m.finish(&self.nodes)
         });
         RunReport::build(
             &self.cfg,
-            &nodes,
+            &self.nodes,
             self.sent_packets,
             self.queue.scheduled_total() - probes_scheduled,
             wall_start.elapsed().as_secs_f64(),
@@ -882,9 +893,12 @@ impl Simulator {
         // only travel as scheduled events), so syncing here keeps the
         // hot mirrors exact whenever the queue is observed. The one
         // global mutation — an impairment edge shifting every noise
-        // floor — resyncs inline in `set_impairment`.
+        // floor — resyncs inline in `set_impairment`. For the same reason
+        // a node no event has touched since a checkpoint still matches
+        // that checkpoint's blob.
         if let Some(i) = target {
             self.sync_hot(i);
+            self.touched[i] = true;
         }
     }
 
@@ -1176,6 +1190,7 @@ impl Simulator {
             for i in 0..self.nodes.len() {
                 self.sync_hot(i);
             }
+            self.touched.fill(true);
         }
     }
 
@@ -1737,13 +1752,15 @@ impl Simulator {
     /// reference channel) and running to the end is bit-identical to
     /// never having stopped.
     pub fn snapshot(&self) -> SimSnapshot {
-        self.snapshot_at(self.queue.now())
+        self.snapshot_at(self.queue.now(), &[])
     }
 
     /// Capture at `cut` (every event strictly before `cut` has been
     /// dispatched; callers guarantee `cut` is at most the next pending
-    /// event's time).
-    pub(crate) fn snapshot_at(&self, cut: SimTime) -> SimSnapshot {
+    /// event's time). `prev` is every node's blob at the run's previous
+    /// checkpoint, or empty: a node no event has touched since shares
+    /// that blob, since only an event addressed to a node changes it.
+    pub(crate) fn snapshot_at(&self, cut: SimTime, prev: &[Arc<[u8]>]) -> SimSnapshot {
         let pending: Vec<(SimTime, u128, SimEvent)> = self
             .queue
             .pending_in_order()
@@ -1753,13 +1770,24 @@ impl Simulator {
         // One scratch writer for every node: per-node `SnapWriter`s pay
         // allocator growth 64k times over at scale.
         let mut scratch = SnapWriter::new();
-        let nodes: Vec<Vec<u8>> = self
+        let mut encode = |node: &Node| -> Arc<[u8]> {
+            scratch.clear();
+            node.save_state(&mut scratch);
+            scratch.payload().into()
+        };
+        let nodes: Vec<Arc<[u8]>> = self
             .nodes
             .iter()
-            .map(|node| {
-                scratch.clear();
-                node.save_state(&mut scratch);
-                scratch.payload().to_vec()
+            .enumerate()
+            .map(|(i, node)| match prev.get(i) {
+                Some(blob) if !self.touched[i] => {
+                    debug_assert!(
+                        *encode(node) == **blob,
+                        "node {i} changed without an event addressed to it"
+                    );
+                    Arc::clone(blob)
+                }
+                _ => encode(node),
             })
             .collect();
         // Advance the mobility clones exactly to the cut: waypoint
@@ -1771,7 +1799,9 @@ impl Simulator {
             let _ = m.position(cut);
         }
         SimSnapshot {
-            cfg_digest: crate::snapshot::config_digest(&self.cfg),
+            cfg_digest: *self
+                .cfg_digest
+                .get_or_init(|| crate::snapshot::config_digest(&self.cfg)),
             time: cut,
             scheduled_total: self.queue.scheduled_total(),
             sent_packets: self.sent_packets,
@@ -1802,6 +1832,7 @@ impl Simulator {
             .checked_sub(snap.pending.len() as u64)
             .ok_or(SnapError::Corrupt("pending exceeds scheduled total"))?;
         let mut sim = Simulator::new(cfg);
+        sim.cfg_digest = snap.cfg_digest.into();
         let cut = snap.time;
 
         // The event queue: restart the sequence counter at the cut and
@@ -1933,5 +1964,60 @@ mod tests {
         assert!(Simulator::new(large).gain_cache.is_none());
         let mobile = ScenarioConfig::paper(Variant::Basic, 500.0, 1);
         assert!(Simulator::new(mobile).gain_cache.is_none());
+    }
+
+    /// Per-node buffers are allocated on first write: a node that is
+    /// built, or restored from a snapshot taken before any traffic,
+    /// holds no delay-histogram, latency-bucket, interface-queue or
+    /// arrival buffer. (Allocated eagerly they cost ~12 KB per node.)
+    #[test]
+    fn fresh_nodes_hold_no_buffers() {
+        let cfg = ScenarioConfig::paper(Variant::Pcmac, 500.0, 1);
+        let sim = Simulator::new(cfg.clone());
+        let restored = Simulator::restore(cfg, &sim.snapshot()).expect("restores");
+        for node in sim.nodes.iter().chain(&restored.nodes) {
+            let held = [
+                node.sink.delay_histogram().buffer_capacity(),
+                node.aodv.discovery_latency().buffer_capacity(),
+                node.mac.queue().buffer_capacity(),
+                node.radio.buffer_capacity(),
+                node.ctrl_radio.buffer_capacity(),
+            ];
+            assert_eq!(held, [0; 5], "node {}", node.id.0);
+        }
+    }
+
+    /// A periodic checkpoint encodes only the nodes an event touched
+    /// since the previous one; every other node shares that checkpoint's
+    /// blob (debug builds also check the shared blob is still exact).
+    #[test]
+    fn checkpoints_share_the_blobs_of_untouched_nodes() {
+        use crate::snapshot::RunHooks;
+        use std::sync::Mutex;
+        let mut cfg = ScenarioConfig::paper(Variant::Pcmac, 500.0, 1);
+        cfg.duration = Duration::from_secs(2);
+        let snaps = Mutex::new(Vec::new());
+        let sink = |s: SimSnapshot| snaps.lock().unwrap().push(s);
+        let outcome = Simulator::new(cfg).run_with_hooks(RunHooks {
+            checkpoint_every: Some(Duration::from_millis(10)),
+            checkpoint_sink: Some(&sink),
+            ..RunHooks::default()
+        });
+        assert!(outcome.report().is_some());
+        let snaps = snaps.into_inner().unwrap();
+        let (mut shared, mut encoded) = (0, 0);
+        for pair in snaps.windows(2) {
+            for (a, b) in pair[0].nodes.iter().zip(&pair[1].nodes) {
+                if Arc::ptr_eq(a, b) {
+                    shared += 1;
+                } else {
+                    encoded += 1;
+                }
+            }
+        }
+        assert!(
+            shared > encoded && encoded > 0,
+            "{shared} blobs shared, {encoded} encoded again"
+        );
     }
 }

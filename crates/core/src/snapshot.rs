@@ -141,8 +141,9 @@ pub struct SimSnapshot {
     /// Per-node transmission-key counters.
     pub(crate) tx_key_ctr: Vec<u32>,
     /// Per-node cold-state blobs ([`Node::save_state`]
-    /// (crate::node::Node) wire format), indexed by node.
-    pub(crate) nodes: Vec<Vec<u8>>,
+    /// (crate::node::Node) wire format), indexed by node. Checkpoints of
+    /// one run share the blob of every node left untouched in between.
+    pub(crate) nodes: Vec<Arc<[u8]>>,
     /// Fault-layer state (`Some` iff the scenario has a fault plan).
     pub(crate) faults: Option<FaultSnap>,
     /// Metrics-layer state (`Some` iff the scenario enabled metrics).
@@ -187,7 +188,7 @@ impl SimSnapshot {
                 let n = r.len_prefix()?;
                 let mut nodes = Vec::with_capacity(n);
                 for _ in 0..n {
-                    nodes.push(r.blob()?);
+                    nodes.push(r.blob()?.into());
                 }
                 nodes
             },
@@ -312,6 +313,34 @@ mod tests {
         assert_eq!(config_digest(&mobile), 0xfbe8_2a3d_41c0_a44a);
         let fixed = ScenarioConfig::two_nodes(Variant::Pcmac, 100.0, 1000.0, 1);
         assert_eq!(config_digest(&fixed), 0x2c0a_231f_bcdd_5456);
+    }
+
+    /// The simulator digests its config once and stamps that digest on
+    /// every checkpoint, also after a restore.
+    #[test]
+    fn every_checkpoint_carries_the_config_digest() {
+        use crate::{ScenarioConfig, Simulator, Variant};
+        use std::sync::Mutex;
+        let mut cfg = ScenarioConfig::paper(Variant::Pcmac, 500.0, 3);
+        cfg.duration = Duration::from_secs(2);
+        let digest = config_digest(&cfg);
+        let run = |sim: Simulator| {
+            let snaps = Mutex::new(Vec::new());
+            let sink = |s: SimSnapshot| snaps.lock().unwrap().push(s);
+            let outcome = sim.run_with_hooks(RunHooks {
+                checkpoint_every: Some(Duration::from_millis(400)),
+                checkpoint_sink: Some(&sink),
+                ..RunHooks::default()
+            });
+            assert!(outcome.report().is_some());
+            snaps.into_inner().unwrap()
+        };
+        let snaps = run(Simulator::new(cfg.clone()));
+        assert_eq!(snaps.len(), 5);
+        assert!(snaps.iter().all(|s| s.cfg_digest == digest));
+        let resumed = run(Simulator::restore(cfg, &snaps[1]).expect("restores"));
+        assert_eq!(resumed.len(), 3);
+        assert!(resumed.iter().all(|s| s.cfg_digest == digest));
     }
 
     #[test]

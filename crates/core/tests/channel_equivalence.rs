@@ -278,6 +278,37 @@ fn lazy_refresh_matches_eager_under_mobility_with_shadowing() {
     }
 }
 
+/// Lazy refresh pads every receiver query by the drift allowance: a
+/// receiver's indexed position may trail its true one, so it can sit
+/// just outside the culling radius in the index while its true position
+/// is inside. A high interference floor shrinks the radius to ~550 m on
+/// a 2 km field of 40 moving nodes, so receivers cross it between
+/// refreshes, and metrics on count every arrival: a receiver the query
+/// missed changes `phy.arrivals` (without the pad, seed 8 loses 10 of
+/// 755 arrivals and 20 events).
+#[test]
+fn lazy_refresh_pad_covers_receivers_at_the_cull_radius() {
+    for seed in [5u64, 8] {
+        let mut cfg = random_scenario(
+            Variant::Basic,
+            seed,
+            40,
+            2000.0,
+            Milliwatts(1.559e-8),
+            true,
+            None,
+        );
+        cfg.metrics = Some(MetricsConfig::default());
+        let production = Simulator::new(cfg.clone()).run();
+        let reference = reference_run(cfg);
+        assert_eq!(
+            mode_invariant_fingerprint(&production),
+            mode_invariant_fingerprint(&reference),
+            "lazy refresh missed a receiver (seed {seed})"
+        );
+    }
+}
+
 /// Static scenarios: the dense precomputed table must replay live gain
 /// evaluation bit for bit.
 #[test]
@@ -632,6 +663,35 @@ fn checkpoint_restore_is_bit_identical_across_matrix() {
                 ref_fp,
                 "restore-then-run diverged (seed {seed} mobile {mobile} reference {reference} \
                  cut {:?})",
+                snap.time()
+            );
+        }
+    }
+}
+
+/// Periodic checkpoints after the first re-encode only the nodes an
+/// event touched since the one before and share every other node's
+/// blob. Every one of them, not just the first, must restore to a run
+/// bit-identical to the uninterrupted one.
+#[test]
+fn every_periodic_checkpoint_restores_bit_identically() {
+    for mobile in [true, false] {
+        let cfg = with_floor(snapshot_scenario(23, 16, mobile));
+        let uninterrupted = Simulator::new(cfg.clone()).run();
+        assert!(uninterrupted.delivered_packets > 0, "no traffic to carry");
+        let ref_fp = mode_invariant_fingerprint(&uninterrupted);
+        let (_, snaps) =
+            run_with_checkpoints(Simulator::new(cfg.clone()), Duration::from_millis(170));
+        assert!(snaps.len() >= 8, "{} checkpoints", snaps.len());
+        for snap in &snaps {
+            let back = SimSnapshot::from_bytes(&snap.to_bytes()).expect("round trip");
+            let resumed = Simulator::restore(cfg.clone(), &back)
+                .expect("snapshot matches its own scenario")
+                .run();
+            assert_eq!(
+                mode_invariant_fingerprint(&resumed),
+                ref_fp,
+                "restore from the {:?} checkpoint diverged (mobile {mobile})",
                 snap.time()
             );
         }

@@ -241,6 +241,11 @@ impl DcfMac {
         &self.cfg
     }
 
+    /// The interface queue (the frame in service is not in it).
+    pub fn queue(&self) -> &DropTailQueue {
+        &self.queue
+    }
+
     /// Current interface-queue occupancy.
     pub fn queue_len(&self) -> usize {
         self.queue.len() + usize::from(self.current.is_some())

@@ -37,7 +37,7 @@ impl DropTailQueue {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
         DropTailQueue {
-            items: VecDeque::with_capacity(capacity),
+            items: VecDeque::new(),
             capacity,
             dropped: 0,
             enqueued: 0,
@@ -74,6 +74,11 @@ impl DropTailQueue {
     /// Take the next packet for the MAC.
     pub fn pop(&mut self) -> Option<QueuedPacket> {
         self.items.pop_front()
+    }
+
+    /// Packets the heap buffer holds: 0 until the first push.
+    pub fn buffer_capacity(&self) -> usize {
+        self.items.capacity()
     }
 
     /// Current occupancy.

@@ -153,10 +153,15 @@ impl<F: Clone> Radio<F> {
         Radio {
             cfg,
             lock: Lock::Idle,
-            arrivals: Vec::with_capacity(8),
+            arrivals: Vec::new(),
             total_in_air: Milliwatts::ZERO,
             reported_busy: false,
         }
+    }
+
+    /// Arrivals the heap buffer holds: 0 until the first arrival.
+    pub fn buffer_capacity(&self) -> usize {
+        self.arrivals.capacity()
     }
 
     /// The radio's configuration.

@@ -117,23 +117,40 @@ pub fn checksum64(bytes: &[u8]) -> u64 {
     h.wrapping_mul(PRIME)
 }
 
+/// Bytes of the envelope header ahead of the payload: magic, version
+/// and payload length.
+const HEADER_LEN: usize = 16;
+
 /// Append-only byte sink for snapshot payloads.
-#[derive(Debug, Default)]
+///
+/// The buffer starts with room for the envelope header, so
+/// [`SnapWriter::finish`] seals the payload in place: a checkpoint of
+/// tens of megabytes is never copied into a second buffer.
+#[derive(Debug)]
 pub struct SnapWriter {
+    /// `HEADER_LEN` reserved bytes, then the payload.
     buf: Vec<u8>,
+}
+
+impl Default for SnapWriter {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl SnapWriter {
     /// An empty writer.
     pub fn new() -> Self {
-        SnapWriter { buf: Vec::new() }
+        SnapWriter {
+            buf: vec![0; HEADER_LEN],
+        }
     }
 
     /// Reset to empty, keeping the allocation — for callers serializing
     /// many small payloads (per-node state blobs) through one scratch
     /// writer instead of paying allocator growth per payload.
     pub fn clear(&mut self) {
-        self.buf.clear();
+        self.buf.truncate(HEADER_LEN);
     }
 
     /// Raw little-endian primitive writes.
@@ -172,30 +189,29 @@ impl SnapWriter {
 
     /// Bytes written so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - HEADER_LEN
     }
 
     /// `true` when nothing has been written.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
     /// The raw payload written so far (no envelope).
     pub fn payload(&self) -> &[u8] {
-        &self.buf
+        &self.buf[HEADER_LEN..]
     }
 
     /// Seal the payload into the versioned, checksummed envelope:
     /// `MAGIC ‖ version:u32 ‖ len:u64 ‖ payload ‖ checksum64(payload)`.
-    pub fn finish(self) -> Vec<u8> {
-        let sum = checksum64(&self.buf);
-        let mut out = Vec::with_capacity(self.buf.len() + 24);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.buf.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.buf);
-        out.extend_from_slice(&sum.to_le_bytes());
-        out
+    pub fn finish(mut self) -> Vec<u8> {
+        let sum = checksum64(self.payload());
+        let len = self.len() as u64;
+        self.buf[..4].copy_from_slice(&MAGIC);
+        self.buf[4..8].copy_from_slice(&VERSION.to_le_bytes());
+        self.buf[8..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+        self.buf.extend_from_slice(&sum.to_le_bytes());
+        self.buf
     }
 }
 
@@ -289,10 +305,10 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Read a length-prefixed byte blob written by [`SnapWriter::blob`]
-    /// (or the generic `Vec<u8>` path) in one bulk copy.
-    pub fn blob(&mut self) -> Result<Vec<u8>, SnapError> {
+    /// (or the generic `Vec<u8>` path), borrowed from the payload.
+    pub fn blob(&mut self) -> Result<&'a [u8], SnapError> {
         let n = self.len_prefix()?;
-        Ok(self.take(n)?.to_vec())
+        self.take(n)
     }
 
     /// `true` when the whole payload has been consumed.

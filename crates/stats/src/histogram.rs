@@ -1,11 +1,16 @@
 //! Fixed-width bucket histograms with percentile queries.
 
-use serde::{Deserialize, Serialize};
-
 /// A histogram over `[0, width × buckets)` with an overflow bucket.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// The bucket array is allocated by the first in-range sample: until
+/// then `counts` is empty and stands for `buckets` zeros. Most per-node
+/// histograms (a sink's delay distribution on a node that terminates no
+/// flow) never see a sample, so they cost no heap at all.
+#[derive(Debug, Clone)]
 pub struct Histogram {
     width: f64,
+    buckets: usize,
+    /// Empty (all zeros) or exactly `buckets` long.
     counts: Vec<u64>,
     overflow: u64,
     total: u64,
@@ -17,7 +22,8 @@ impl Histogram {
         assert!(width > 0.0 && buckets > 0);
         Histogram {
             width,
-            counts: vec![0; buckets],
+            buckets,
+            counts: Vec::new(),
             overflow: 0,
             total: 0,
         }
@@ -27,7 +33,10 @@ impl Histogram {
     pub fn record(&mut self, x: f64) {
         self.total += 1;
         let idx = (x.max(0.0) / self.width) as usize;
-        if idx < self.counts.len() {
+        if idx < self.buckets {
+            if self.counts.is_empty() {
+                self.counts = vec![0; self.buckets];
+            }
             self.counts[idx] += 1;
         } else {
             self.overflow += 1;
@@ -61,6 +70,11 @@ impl Histogram {
         self.overflow
     }
 
+    /// Buckets the heap buffer holds: 0 until the first in-range sample.
+    pub fn buffer_capacity(&self) -> usize {
+        self.counts.capacity()
+    }
+
     /// Merge another histogram with identical geometry (bucket width and
     /// count) into this one.
     ///
@@ -68,13 +82,13 @@ impl Histogram {
     /// If the geometries differ.
     pub fn merge(&mut self, other: &Histogram) {
         assert_eq!(self.width, other.width, "bucket width mismatch");
-        assert_eq!(
-            self.counts.len(),
-            other.counts.len(),
-            "bucket count mismatch"
-        );
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
+        assert_eq!(self.buckets, other.buckets, "bucket count mismatch");
+        if self.counts.is_empty() {
+            self.counts.clone_from(&other.counts);
+        } else {
+            for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+                *a += b;
+            }
         }
         self.overflow += other.overflow;
         self.total += other.total;
@@ -97,7 +111,7 @@ mod snap {
     impl Snap for Histogram {
         fn save(&self, w: &mut SnapWriter) {
             w.f64(self.width);
-            w.u64(self.counts.len() as u64);
+            w.u64(self.buckets as u64);
             w.u64(self.overflow);
             w.u64(self.total);
             let nz = self.counts.iter().filter(|&&c| c != 0).count() as u64;
@@ -121,7 +135,11 @@ mod snap {
             let overflow = r.u64()?;
             let total = r.u64()?;
             let nz = r.len_prefix()?;
-            let mut counts = vec![0u64; buckets as usize];
+            let mut counts = if nz > 0 {
+                vec![0u64; buckets as usize]
+            } else {
+                Vec::new()
+            };
             let mut in_buckets: u64 = 0;
             let mut prev: Option<u32> = None;
             for _ in 0..nz {
@@ -144,6 +162,7 @@ mod snap {
             }
             Ok(Histogram {
                 width,
+                buckets: buckets as usize,
                 counts,
                 overflow,
                 total,

@@ -17,8 +17,6 @@
 //! merged in any grouping and yield exactly the summary of the pooled
 //! population.
 
-use serde::{Deserialize, Serialize};
-
 /// Population size up to which samples are kept verbatim. Summaries of
 /// populations at or under the cap are exact (identical to sorting the
 /// raw sample vector); larger populations fall back to the buckets.
@@ -45,7 +43,7 @@ fn bucket_of(v: f64) -> usize {
 }
 
 /// A constant-memory latency population summary.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StreamingQuantile {
     /// The first [`EXACT_CAP`] samples, insertion order. Only consulted
     /// while `count <= EXACT_CAP`.
@@ -57,7 +55,8 @@ pub struct StreamingQuantile {
     sum_ns: u64,
     /// Largest sample.
     max_s: f64,
-    /// Power-of-two latency histogram (always populated).
+    /// Power-of-two latency histogram: empty (all zeros) until the
+    /// first sample, then exactly [`BUCKETS`] long.
     buckets: Vec<u64>,
 }
 
@@ -75,7 +74,7 @@ impl StreamingQuantile {
             count: 0,
             sum_ns: 0,
             max_s: 0.0,
-            buckets: vec![0; BUCKETS],
+            buckets: Vec::new(),
         }
     }
 
@@ -87,6 +86,9 @@ impl StreamingQuantile {
             .saturating_add((v.max(0.0) * 1e9).round() as u64);
         if v > self.max_s {
             self.max_s = v;
+        }
+        if self.buckets.is_empty() {
+            self.buckets = vec![0; BUCKETS];
         }
         self.buckets[bucket_of(v)] += 1;
         if self.exact.len() < EXACT_CAP {
@@ -103,8 +105,12 @@ impl StreamingQuantile {
         if other.max_s > self.max_s {
             self.max_s = other.max_s;
         }
-        for (b, &o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += o;
+        if self.buckets.is_empty() {
+            self.buckets.clone_from(&other.buckets);
+        } else {
+            for (b, &o) in self.buckets.iter_mut().zip(&other.buckets) {
+                *b += o;
+            }
         }
         let room = EXACT_CAP.saturating_sub(self.exact.len());
         self.exact
@@ -114,6 +120,11 @@ impl StreamingQuantile {
     /// Samples recorded.
     pub fn count(&self) -> u64 {
         self.count
+    }
+
+    /// Buckets the heap buffer holds: 0 until the first sample.
+    pub fn buffer_capacity(&self) -> usize {
+        self.buckets.capacity()
     }
 
     /// `true` while every sample is still held verbatim — summaries are
@@ -163,15 +174,50 @@ impl StreamingQuantile {
 }
 
 mod snap {
-    use super::StreamingQuantile;
+    use super::{StreamingQuantile, BUCKETS};
+    use pcmac_snap::{Snap, SnapError, SnapReader, SnapWriter};
 
-    pcmac_snap::snap_struct!(StreamingQuantile {
-        exact,
-        count,
-        sum_ns,
-        max_s,
-        buckets,
-    });
+    /// The bucket bank always travels as [`BUCKETS`] counts, so a summary
+    /// that never allocated it writes the same bytes as an all-zero one,
+    /// and an all-zero bank loads back unallocated.
+    impl Snap for StreamingQuantile {
+        fn save(&self, w: &mut SnapWriter) {
+            self.exact.save(w);
+            self.count.save(w);
+            self.sum_ns.save(w);
+            self.max_s.save(w);
+            w.u64(BUCKETS as u64);
+            for i in 0..BUCKETS {
+                w.u64(self.buckets.get(i).copied().unwrap_or(0));
+            }
+        }
+
+        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+            let exact = Snap::load(r)?;
+            let count = Snap::load(r)?;
+            let sum_ns = Snap::load(r)?;
+            let max_s = Snap::load(r)?;
+            if r.len_prefix()? != BUCKETS {
+                return Err(SnapError::Corrupt("streaming quantile buckets"));
+            }
+            let mut bank = [0u64; BUCKETS];
+            for c in &mut bank {
+                *c = r.u64()?;
+            }
+            let buckets = if bank.iter().any(|&c| c != 0) {
+                bank.to_vec()
+            } else {
+                Vec::new()
+            };
+            Ok(StreamingQuantile {
+                exact,
+                count,
+                sum_ns,
+                max_s,
+                buckets,
+            })
+        }
+    }
 }
 
 #[cfg(test)]

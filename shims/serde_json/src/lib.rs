@@ -6,7 +6,7 @@
 //! pretty output uses two-space indentation, and map/struct key order is
 //! preserved.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 pub use serde::Value;
 use serde::{DeError, Deserialize, Serialize};
@@ -122,10 +122,10 @@ fn write_f64(out: &mut String, f: f64) {
         out.push_str("null");
         return;
     }
-    let s = format!("{f}");
-    out.push_str(&s);
+    let start = out.len();
+    write!(out, "{f}").expect("writing to a String cannot fail");
     // Keep the float/integer distinction through a round-trip.
-    if !s.contains('.') && !s.contains('e') && !s.contains('E') {
+    if !out[start..].contains(['.', 'e', 'E']) {
         out.push_str(".0");
     }
 }
@@ -375,6 +375,21 @@ mod tests {
         assert_eq!(text, "4.0");
         let back: Value = from_str(&text).unwrap();
         assert_eq!(back, Value::F64(4.0));
+    }
+
+    #[test]
+    fn numbers_print_as_display() {
+        for f in [0.0, -0.0, 1.0, 0.1, 2.5e-7, 1e21, 123_456_789.125, f64::MAX] {
+            let s = format!("{f}");
+            let want = if s.contains(['.', 'e', 'E']) {
+                s
+            } else {
+                s + ".0"
+            };
+            assert_eq!(to_string(&Value::F64(f)).unwrap(), want);
+        }
+        let ints = Value::Seq(vec![Value::I64(i64::MIN), Value::U64(42)]);
+        assert_eq!(to_string(&ints).unwrap(), format!("[{},42]", i64::MIN));
     }
 
     #[test]
